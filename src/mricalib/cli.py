@@ -91,7 +91,6 @@ def _config_from_args(args: argparse.Namespace) -> ReconConfig:
         cg=CGConfig(max_iters=args.cg_iters, tol=args.cg_tol),
         holdout_fraction=args.holdout_fraction,
         tau_ssl=args.tau_ssl,
-        band_cutoff=args.band_cutoff if args.band_cutoff is not None else ReconConfig().band_cutoff,
         enable_fpc=not args.disable_fpc,
         enable_rpa=not args.disable_rpa,
         seed_init=args.seed_init,
@@ -167,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     mask = generate_mask(args.kind, args.size, args.size, args.accel,
                          args.acs_fraction, args.seed_mask)
     sens = synth_coil_maps(args.coils, args.size, args.size, args.seed_coils)
-    op = ForwardOperator(mask, sens, noise_std=args.noise_std)
+    op = ForwardOperator(mask, sens)
     y = apply_forward(phantom, op)
     if args.noise_std > 0:
         y = add_noise(y, mask, args.noise_std, args.seed_noise)

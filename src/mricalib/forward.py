@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import FormatError, InvalidArgumentError
 from .fourier import fft2c, ifft2c
 from .tensorio import read_tensor, write_tensor
 
@@ -47,7 +47,6 @@ class ForwardOperator:
 
     mask: SamplingMask
     sens: np.ndarray  # (C, H, W) complex128
-    noise_std: float | None = None  # simulation metadata only
 
     def __post_init__(self):
         if self.sens.ndim != 3:
@@ -264,18 +263,21 @@ def load_mask(path: str | os.PathLike) -> SamplingMask:
     meta = {"kind": "Gaussian2D", "accel": 0.0, "acs_fraction": 0.0, "seed": 0}
     meta_path = f"{os.fspath(path)}.meta"
     if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or "=" not in line:
-                    continue
-                key, val = line.split("=", 1)
-                if key in ("accel", "acs_fraction"):
-                    meta[key] = float(val)
-                elif key == "seed":
-                    meta[key] = int(val)
-                elif key == "kind":
-                    meta[key] = val
+        try:
+            with open(meta_path) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or "=" not in line:
+                        continue
+                    key, val = line.split("=", 1)
+                    if key in ("accel", "acs_fraction"):
+                        meta[key] = float(val)
+                    elif key == "seed":
+                        meta[key] = int(val)
+                    elif key == "kind":
+                        meta[key] = val
+        except ValueError as exc:  # bad numbers and undecodable bytes alike
+            raise FormatError(f"bad mask sidecar {meta_path}: {exc}") from exc
     count = max(int(bits.sum()), 1)
     if not meta["accel"]:
         meta["accel"] = bits.size / count

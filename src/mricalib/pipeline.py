@@ -72,7 +72,6 @@ class ReconConfig:
     cg: CGConfig = field(default_factory=CGConfig)
     holdout_fraction: float = 0.2
     tau_ssl: float = 1.0
-    band_cutoff: float = 0.25
     enable_fpc: bool = True
     enable_rpa: bool = True
     seed_init: int = 0

@@ -14,6 +14,7 @@ or missing bytes are format errors.  write_tensor followed by read_tensor
 reproduces the array bit for bit.
 """
 
+import math
 import os
 
 import numpy as np
@@ -71,7 +72,9 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
 
     if len(blob) < off + 8 * rank:
         raise FormatError("truncated header: missing axis lengths", offset=off)
-    dims = np.frombuffer(blob, dtype="<u8", count=rank, offset=off).astype(np.int64)
+    dims_off = off
+    # Python ints, so the element count cannot wrap before it is checked
+    dims = tuple(int(d) for d in np.frombuffer(blob, dtype="<u8", count=rank, offset=off))
     off += 8 * rank
 
     if len(blob) < off + 4:
@@ -82,7 +85,10 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
         raise FormatError(f"unknown dtype code {code}", offset=off - 4)
 
     dtype = np.dtype(_CODE_TO_DTYPE[code])
-    count = int(np.prod(dims)) if rank else 1
+    # numpy refuses shapes whose nonzero axis lengths span more bytes than it can index
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise FormatError(f"axis lengths {dims} exceed the addressable size", offset=dims_off)
+    count = math.prod(dims)
     expected = count * dtype.itemsize
     actual = len(blob) - off
     if actual != expected:

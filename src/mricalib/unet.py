@@ -17,6 +17,7 @@ dependency is needed.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,36 +190,33 @@ def modulate_bands(feat: np.ndarray, alpha: float, beta: float, cutoff: float) -
 # ---------------------------------------------------------------------------
 
 
-def _forward(
-    x: np.ndarray,
-    t_idx: np.ndarray,
-    delta: np.ndarray | None,
-    weights: UNetWeights,
-    want_cache: bool = False,
-):
-    """x: (B, in_channels, H, W); t_idx: (B,) int.  Returns (out, cache)."""
-    arch = weights.arch
-    P = weights.params
+def _check_input(shape: tuple[int, ...], t_idx: np.ndarray, arch: UNetArch) -> None:
     L = arch.layer_count
-    B, C, H, W = x.shape
+    _, C, H, W = shape
     if C != arch.in_channels:
         raise InvalidArgumentError(f"expected {arch.in_channels} channels, got {C}")
     if H % (1 << L) or W % (1 << L):
         raise InvalidArgumentError(f"spatial size {H}x{W} not divisible by {1 << L}")
-    if delta is not None:
-        delta = validate_delta(delta, L)
-    t_idx = np.asarray(t_idx, dtype=np.int64)
     if np.any(t_idx < 0) or np.any(t_idx >= arch.emb_steps):
         raise InvalidArgumentError("noise-level index out of embedding range")
+
+
+def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict | None = None):
+    """Preconditioning, encoder levels and the embedded bottleneck: returns (h, skips).
+
+    None of this depends on the calibration vector.
+    """
+    arch = weights.arch
+    P = weights.params
+    want_cache = cache is not None
 
     # precondition: keep activations O(1) across noise levels
     sigma_t = arch.sigma_ladder().sigmas[t_idx]
     x = x / np.sqrt(1.0 + sigma_t**2)[:, None, None, None]
 
-    cache: dict = {"skips": [], "t_idx": t_idx} if want_cache else None
     skips = []
     h = x
-    for i in range(L):
+    for i in range(arch.layer_count):
         h, c1 = _conv2d(h, P[f"enc{i}.c1.w"], P[f"enc{i}.c1.b"], want_cache)
         h, r1 = _relu(h, want_cache)
         h, c2 = _conv2d(h, P[f"enc{i}.c2.w"], P[f"enc{i}.c2.b"], want_cache)
@@ -235,22 +233,49 @@ def _forward(
     h, r2 = _relu(h, want_cache)
     if want_cache:
         cache["bot"] = (c1, r1, c2, r2)
+    return h, skips
 
-    for i in reversed(range(L)):
-        up = _up2(h)
+
+def _decode_level(i: int, h: np.ndarray, skip: np.ndarray, weights: UNetWeights,
+                  cache: dict | None = None) -> np.ndarray:
+    """Decoder level i: upsample h, join the (already modulated) skip, two conv + ReLU."""
+    P = weights.params
+    want_cache = cache is not None
+    up = _up2(h)
+    h = np.concatenate([up, skip], axis=1)
+    h, c1 = _conv2d(h, P[f"dec{i}.c1.w"], P[f"dec{i}.c1.b"], want_cache)
+    h, r1 = _relu(h, want_cache)
+    h, c2 = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], want_cache)
+    h, r2 = _relu(h, want_cache)
+    if want_cache:
+        cache[f"dec{i}"] = (c1, r1, c2, r2, up.shape[1])
+    return h
+
+
+def _forward(
+    x: np.ndarray,
+    t_idx: np.ndarray,
+    delta: np.ndarray | None,
+    weights: UNetWeights,
+    want_cache: bool = False,
+):
+    """x: (B, in_channels, H, W); t_idx: (B,) int.  Returns (out, cache)."""
+    arch = weights.arch
+    t_idx = np.asarray(t_idx, dtype=np.int64)
+    _check_input(x.shape, t_idx, arch)
+    if delta is not None:
+        delta = validate_delta(delta, arch.layer_count)
+
+    cache: dict = {"skips": [], "t_idx": t_idx} if want_cache else None
+    h, skips = _encode(x, t_idx, weights, cache)
+    for i in reversed(range(arch.layer_count)):
         skip = skips[i]
         if delta is not None:
             # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1]
             skip = modulate_bands(skip, delta[2 * i], delta[2 * i + 1], arch.band_cutoff)
-        h = np.concatenate([up, skip], axis=1)
-        h, c1 = _conv2d(h, P[f"dec{i}.c1.w"], P[f"dec{i}.c1.b"], want_cache)
-        h, r1 = _relu(h, want_cache)
-        h, c2 = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], want_cache)
-        h, r2 = _relu(h, want_cache)
-        if want_cache:
-            cache[f"dec{i}"] = (c1, r1, c2, r2, up.shape[1])
+        h = _decode_level(i, h, skip, weights, cache)
 
-    out, ch = _conv2d(h, P["head.w"], P["head.b"], want_cache)
+    out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], want_cache)
     if want_cache:
         cache["head"] = ch
         cache["skip_tensors"] = skips
@@ -314,18 +339,52 @@ def unet_forward(
     return out[0, 0] + 1j * out[0, 1]
 
 
+@dataclass
+class _EncoderState:
+    """What one input shares across calibration vectors: encoder and bottleneck outputs."""
+
+    key: tuple  # (input shape, input bytes, noise index)
+    h: np.ndarray  # bottleneck output
+    skips: list[np.ndarray]
+    lows: list[np.ndarray | None]  # low band of each skip, made on first calibrated use
+    levels: dict[int, tuple] = field(default_factory=dict)  # level i >= 1 -> (delta[2i:] key, output)
+
+
 class UNetScorePrior(ScorePrior):
     """Score adapter: the network predicts the noise, score = -prediction / sigma.
 
     The noise level is snapped to the nearest entry of the ladder the
     network was trained on.  With `calibratable=False` the prior reports
     layer_count 0 and always runs the raw (unmodulated) forward pass.
+
+    Evaluations reuse earlier work whose inputs are bit for bit the same,
+    so every output equals a fresh `unet_forward` to the last bit:
+
+    - the encoder and bottleneck outputs, and the low band of each skip,
+      of the most recent (input bytes, noise index); the calibration
+      probes around one iterate then share one encoder pass;
+    - for that input, the output of each decoder level below the
+      shallowest, keyed on the calibration entries of that level and the
+      deeper ones (delta[2i:]); a probe that perturbs level 0 re-runs only
+      decoder level 0 and the head;
+    - the last `OUTPUTS_KEPT` network outputs, keyed on (input bytes,
+      noise index, calibration vector); repeated evaluations, such as the
+      risk probes at the iterate the main step already denoised, are free.
+
+    The memory this holds is bounded by one set of encoder activations
+    plus `OUTPUTS_KEPT` images and their keys.  The wrapped weights are
+    treated as frozen: mutating `weights.params` after an evaluation
+    leaves stale entries behind, so build a new prior instead.
     """
+
+    OUTPUTS_KEPT = 4
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
         self.weights = weights
         self.calibratable = calibratable
         self._sigmas = weights.arch.sigma_ladder().sigmas
+        self._encoded: _EncoderState | None = None
+        self._outputs: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
     @property
     def layer_count(self) -> int:
@@ -338,8 +397,60 @@ class UNetScorePrior(ScorePrior):
         idx = int(np.argmin(np.abs(self._sigmas - sigma)))
         if not self.calibratable:
             delta = None
-        eps_hat = unet_forward(x, idx, delta, self.weights)
+        eps_hat = self._predict_noise(x, idx, delta)
         return -eps_hat / sigma
+
+    def _predict_noise(self, x: np.ndarray, idx: int, delta) -> np.ndarray:
+        """unet_forward(x, idx, delta, weights), reusing what earlier calls computed."""
+        arch = self.weights.arch
+        L = arch.layer_count
+        if x.ndim != 2:
+            raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
+        if delta is not None:
+            delta = validate_delta(delta, L)
+        in_key = (x.shape, x.tobytes(), idx)
+        out_key = in_key + (None if delta is None else delta.tobytes(),)
+        out = self._outputs.get(out_key)
+        if out is not None:
+            self._outputs.move_to_end(out_key)
+            return out
+
+        enc = self._encoded
+        if enc is None or enc.key != in_key:
+            x2 = np.stack([x.real, x.imag])[None]
+            t_idx = np.array([idx], dtype=np.int64)
+            _check_input(x2.shape, t_idx, arch)
+            h, skips = _encode(x2, t_idx, self.weights)
+            enc = self._encoded = _EncoderState(in_key, h, skips, [None] * L)
+
+        def level_key(i):
+            return None if delta is None else delta[2 * i :].tobytes()
+
+        start, h = L, enc.h
+        for i in range(1, L):
+            held = enc.levels.get(i)
+            if held is not None and held[0] == level_key(i):
+                start, h = i, held[1]
+                break
+        for i in reversed(range(start)):
+            skip = enc.skips[i]
+            if delta is not None:
+                if enc.lows[i] is None:
+                    enc.lows[i] = low_band(skip, arch.band_cutoff)
+                low = enc.lows[i]
+                # same arithmetic as modulate_bands, with the low band computed once
+                skip = delta[2 * i] * low + delta[2 * i + 1] * (skip - low)
+            h = _decode_level(i, h, skip, self.weights)
+            if i > 0:
+                enc.levels[i] = (level_key(i), h)
+
+        P = self.weights.params
+        head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
+        out = head[0, 0] + 1j * head[0, 1]
+        self._outputs[out_key] = out
+        if len(self._outputs) > self.OUTPUTS_KEPT:
+            self._outputs.popitem(last=False)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from mricalib import read_tensor
 from mricalib.cli import main
+from mricalib.tensorio import MAGIC
 
 
 def _run(args):
@@ -68,6 +69,31 @@ def test_missing_file_exits_4(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ])
     assert code == 4
+
+
+def test_overflowing_tensor_header_exits_4(tmp_path):
+    sim_dir = tmp_path / "sim"
+    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])
+    header = MAGIC + np.uint32(2).tobytes() + np.asarray([2**32, 2**32], dtype="<u8").tobytes()
+    (sim_dir / "kspace.bt").write_bytes(header + np.uint32(1).tobytes())
+    code = _run([
+        "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
+        "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 4
+
+
+def test_bad_mask_sidecar_exits_4(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])
+    meta = sim_dir / "mask.bt.meta"
+    meta.write_text(meta.read_text().replace("accel=", "accel=abc", 1))
+    code = _run([
+        "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
+        "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(tmp_path / "o"),
+    ])
+    assert code == 4
+    assert "mask sidecar" in capsys.readouterr().err
 
 
 def test_bad_argument_exits_2(tmp_path):

@@ -24,7 +24,7 @@ from mricalib import (
 )
 from mricalib import pipeline
 from mricalib.errors import InvalidArgumentError
-from mricalib.unet import UNetArch, UNetScorePrior, init_weights
+from mricalib.unet import UNetArch, UNetScorePrior, init_weights, unet_forward
 
 
 def _problem(n=32, coils=2, accel=4, seed=0, noise=0.0):
@@ -163,6 +163,37 @@ def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
     assert len(first) == len(second) == 2 * 2 * cfg.steps  # central differences, 2 entries
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+class _FreshUNetPrior(ScorePrior):
+    """The U-Net score without any reuse: one full unet_forward per evaluation."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.layer_count = weights.arch.layer_count
+        self._sigmas = weights.arch.sigma_ladder().sigmas
+
+    def evaluate(self, x, sigma, delta=None):
+        idx = int(np.argmin(np.abs(self._sigmas - sigma)))
+        return -unet_forward(x, idx, delta, self.weights) / sigma
+
+
+def test_unet_prior_reuse_is_bit_identical_end_to_end():
+    phantom, op, y = _problem(seed=18)
+    weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=6)
+    cfg = ReconConfig(**FAST, enable_fpc=True, enable_rpa=True, renoise_mode="stochastic")
+    x_memo, r_memo = reconstruct(y, op, UNetScorePrior(weights), cfg, reference=phantom)
+    x_fresh, r_fresh = reconstruct(y, op, _FreshUNetPrior(weights), cfg, reference=phantom)
+    assert x_memo.tobytes() == x_fresh.tobytes()
+    assert len(r_memo.records) == len(r_fresh.records) == cfg.steps
+    for a, b in zip(r_memo.records, r_fresh.records):
+        for f in dataclasses.fields(a):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, np.ndarray):
+                assert va.tobytes() == vb.tobytes(), f.name
+            else:
+                assert va == vb, f.name
+    assert r_memo.psnr == r_fresh.psnr and r_memo.ssim == r_fresh.ssim
 
 
 def test_early_stop_keeps_full_record_count():

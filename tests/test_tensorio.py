@@ -57,6 +57,35 @@ def test_zero_dims_with_payload_rejected(tmp_path):
         read_tensor(path)
 
 
+def _header(dims, code=0):
+    blob = MAGIC + np.uint32(len(dims)).tobytes() + np.asarray(dims, dtype="<u8").tobytes()
+    return blob + np.uint32(code).tobytes()
+
+
+def test_overflowing_element_count_rejected(tmp_path):
+    # 2^32 * 2^32 wraps to 0 in 64-bit arithmetic; the empty payload must not pass
+    path = tmp_path / "t.bt"
+    path.write_bytes(_header([2**32, 2**32]))
+    with pytest.raises(FormatError, match="addressable"):
+        read_tensor(path)
+
+
+def test_axis_length_beyond_int64_rejected(tmp_path):
+    path = tmp_path / "t.bt"
+    path.write_bytes(_header([2**63]) + b"\x00" * 8)
+    with pytest.raises(FormatError, match="addressable") as err:
+        read_tensor(path)
+    assert err.value.offset == len(MAGIC) + 4
+
+
+def test_huge_axis_next_to_empty_axis_rejected(tmp_path):
+    # zero elements, so the payload length matches, but numpy cannot shape it
+    path = tmp_path / "t.bt"
+    path.write_bytes(_header([0, 2**62], code=1))
+    with pytest.raises(FormatError, match="addressable"):
+        read_tensor(path)
+
+
 def test_unknown_dtype_code_rejected(tmp_path):
     blob = MAGIC + np.uint32(1).tobytes() + np.uint64(2).tobytes() + np.uint32(9).tobytes()
     blob += b"\x00" * 16

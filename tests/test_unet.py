@@ -252,3 +252,59 @@ def test_uncalibratable_adapter_ignores_delta():
     a = prior.evaluate(x, 0.5, None)
     b = prior.evaluate(x, 0.5, np.array([0.0, 2.0, 0.5, 1.5]))
     assert np.array_equal(a, b)
+
+
+def test_memoized_evaluate_matches_fresh_forward():
+    """Every evaluation equals a fresh unet_forward bit for bit, whatever it reuses."""
+    rng = np.random.default_rng(11)
+    arch = UNetArch(widths=(3, 4, 4), bottleneck=5, emb_steps=6)
+    w = init_weights(arch, seed=12)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    sigmas = arch.sigma_ladder().sigmas
+    prior = UNetScorePrior(w)
+
+    def check(x, sigma, delta):
+        used = delta if prior.calibratable else None
+        idx = int(np.argmin(np.abs(sigmas - sigma)))
+        expected = -unet_forward(x, idx, used, w) / sigma
+        assert np.array_equal(prior.evaluate(x, sigma, delta), expected)
+        return expected
+
+    def central_difference_probes(x, sigma, delta, h=0.01):
+        for j in range(delta.size):
+            for step in (h, -h):
+                probe = delta.copy()
+                probe[j] += step
+                check(x, sigma, probe)
+
+    x, other = _rand_image(rng), _rand_image(rng)
+    sigma = float(sigmas[3])
+    delta = np.array([1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
+    central_difference_probes(x, sigma, delta)
+    updated = delta + np.array([0.02, -0.01, 0.03, 0.01, -0.02, 0.01])
+    check(x, sigma, updated)
+    check(other, sigma, updated)
+    check(x, sigma, updated)
+    central_difference_probes(other, sigma, updated)
+    check(x, sigma, updated)
+
+    nudged = x.copy()
+    nudged.real[5, 7] = np.nextafter(nudged.real[5, 7], np.inf)
+    check(nudged, sigma, updated)
+    check(x, sigma, updated)
+    check(x.reshape(8, 32), sigma, updated)  # same bytes, another shape
+    check(x, sigma, updated)
+
+    # same input and vector at another ladder index: only the noise index differs
+    check(x, float(sigmas[4]), updated)
+    check(x, sigma, updated)
+
+    ones = np.ones(6)
+    modulated = check(x, sigma, ones)
+    prior.calibratable = False
+    raw = check(x, sigma, ones)
+    # all-ones modulation rounds differently from the raw skip, so the key must tell them apart
+    assert not np.array_equal(modulated, raw)
+    check(x, sigma, None)
+    prior.calibratable = True
+    check(x, sigma, ones)
