@@ -237,6 +237,7 @@ def test_criterion_7_early_stopping():
     _report(7, f"E=0 freeze at defaults and hand value 0.5 reproduced ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_directional_ablation():
     started = time.perf_counter()
     arch = UNetArch(widths=(8, 16), bottleneck=32, emb_steps=25,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mricalib import read_tensor
+from mricalib import read_tensor, write_tensor
 from mricalib.cli import main
 from mricalib.tensorio import MAGIC
 
@@ -93,6 +93,40 @@ def test_bad_mask_sidecar_exits_4(tmp_path, capsys):
         "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(tmp_path / "o"),
     ])
     assert code == 4
+    assert "mask sidecar" in capsys.readouterr().err
+
+
+def _reconstruct_sim(sim_dir, out_dir):
+    return _run([
+        "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
+        "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(out_dir),
+    ])
+
+
+def test_rank_one_mask_exits_4(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])
+    bits = read_tensor(sim_dir / "mask.bt")
+    write_tensor(sim_dir / "mask.bt", bits[0])
+    assert _reconstruct_sim(sim_dir, tmp_path / "o") == 4
+    assert "rank 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("height=16", "height=15"),
+    ("width=16", "width=32"),
+    ("accel=4.0", "accel=-5"),
+    ("accel=4.0", "accel=nan"),
+    ("accel=4.0", "accel=inf"),
+    ("acs_fraction=0.08", "acs_fraction=1.5"),
+])
+def test_inconsistent_mask_sidecar_exits_4(tmp_path, capsys, old, new):
+    sim_dir = tmp_path / "sim"
+    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])
+    meta = sim_dir / "mask.bt.meta"
+    assert old in meta.read_text()
+    meta.write_text(meta.read_text().replace(old, new, 1))
+    assert _reconstruct_sim(sim_dir, tmp_path / "o") == 4
     assert "mask sidecar" in capsys.readouterr().err
 
 

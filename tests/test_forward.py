@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mricalib import (
     CGConfig,
     ForwardOperator,
+    SamplingMask,
     add_noise,
     apply_adjoint,
     apply_forward,
@@ -12,6 +13,7 @@ from mricalib import (
     generate_mask,
     ifft2c,
     load_mask,
+    partition_mask,
     psnr,
     save_mask,
     solve_p3,
@@ -19,6 +21,7 @@ from mricalib import (
     zero_filled,
 )
 from mricalib.errors import InvalidArgumentError
+from mricalib.forward import normal_operator
 from mricalib.phantom import PhantomSpec, make_phantom
 
 
@@ -204,6 +207,91 @@ def test_projection_property_where_it_holds():
         once = apply_forward(zero_filled(y, op), op)
         twice = apply_forward(zero_filled(once, op), op)
         assert np.max(np.abs(twice - once)) <= 1e-10 * np.max(np.abs(once))
+
+
+# ---------------------------------------------------------------------------
+# normal operator AᴴA
+# ---------------------------------------------------------------------------
+
+
+def _reference_normal(v, op):
+    return apply_adjoint(apply_forward(v, op), op)
+
+
+def _path(op):
+    return normal_operator(op).__qualname__.split(".")[0]
+
+
+def _with_bits(bits, coils, seed=0):
+    """Operator whose mask claims kind Gaussian1D whatever its bits are."""
+    h, w = bits.shape
+    mask = SamplingMask("Gaussian1D", 1.0, 0.1, 0, bits.astype(np.uint8))
+    return ForwardOperator(mask, synth_coil_maps(coils, h, w, seed=seed))
+
+
+def _two_d_operators():
+    ops = []
+    for h, w, coils in [(32, 32, 4), (33, 47, 3), (20, 17, 1)]:
+        sens = synth_coil_maps(coils, h, w, seed=h)
+        ops.append(ForwardOperator(generate_mask("Gaussian2D", h, w, 3, 0.1, seed=w), sens))
+        column = generate_mask("Gaussian1D", h, w, 3, 0.1, seed=w)
+        part = partition_mask(column, 0.4, seed=h)
+        ops += [ForwardOperator(part.lambda_mask, sens), ForwardOperator(part.gamma_mask, sens)]
+        flipped = column.bits.copy()
+        flipped[h // 3, 0] ^= 1
+        ops.append(_with_bits(flipped, coils, seed=h))
+    return ops
+
+
+def _column_operators():
+    ops = []
+    for h, w, coils in [(32, 32, 4), (33, 47, 3), (20, 17, 1)]:
+        sens = synth_coil_maps(coils, h, w, seed=h)
+        for kind in ("Gaussian1D", "Uniform1D"):
+            ops.append(ForwardOperator(generate_mask(kind, h, w, 3, 0.1, seed=w), sens))
+        ops.append(ForwardOperator(generate_mask("Uniform1D", h, w, 1, 0.1), sens))  # full
+    return ops
+
+
+def test_normal_operator_2d_masks_bit_identical():
+    rng = np.random.default_rng(6)
+    for op in _two_d_operators():
+        assert _path(op) == "_shifted_normal"
+        apply = normal_operator(op)
+        for _ in range(2):  # the closure's buffers must not leak between calls
+            v = _rand_image(rng, *op.shape)
+            assert np.array_equal(apply(v).view(np.float64), _reference_normal(v, op).view(np.float64))
+
+
+def test_normal_operator_column_masks_within_tolerance():
+    rng = np.random.default_rng(7)
+    for op in _column_operators():
+        assert _path(op) == "_column_normal"
+        apply = normal_operator(op)
+        for _ in range(2):
+            v = _rand_image(rng, *op.shape)
+            ref = _reference_normal(v, op)
+            assert np.max(np.abs(apply(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_solve_p3_column_path_matches_dense_solve():
+    rng = np.random.default_rng(8)
+    op = ForwardOperator(generate_mask("Gaussian1D", 12, 15, 3, 0.1, seed=2),
+                         synth_coil_maps(2, 12, 15, seed=3))
+    assert _path(op) == "_column_normal"
+    gamma = 2.5
+    x_dot = _rand_image(rng, 12, 15)
+    y = apply_forward(_rand_image(rng, 12, 15), op)
+    n = 12 * 15
+    dense = np.empty((n, n), dtype=np.complex128)
+    for j in range(n):
+        e = np.zeros(n, dtype=np.complex128)
+        e[j] = 1.0
+        img = e.reshape(12, 15)
+        dense[:, j] = (gamma * _reference_normal(img, op) + img).ravel()
+    expected = np.linalg.solve(dense, (gamma * apply_adjoint(y, op) + x_dot).ravel()).reshape(12, 15)
+    res = solve_p3(x_dot, y, op, gamma, CGConfig(max_iters=100, tol=1e-15))
+    assert np.max(np.abs(res.x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------------------
