@@ -246,10 +246,11 @@ def normal_operator(op: ForwardOperator) -> Callable[[np.ndarray], np.ndarray]:
     (numpy's complex multiply is not bitwise commutative).  See the module
     docstring for the exactness of each path.
     """
+    sens = np.asarray(op.sens, dtype=np.complex128)  # real or complex64 maps size complex buffers
     bits = op.mask.bits
     if np.all(bits == bits[:1]):
-        return _column_normal(op.sens, np.flatnonzero(bits[0]))
-    return _shifted_normal(op.sens, bits)
+        return _column_normal(sens, np.flatnonzero(bits[0]))
+    return _shifted_normal(sens, bits)
 
 
 def _column_normal(sens: np.ndarray, cols: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

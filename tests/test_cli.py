@@ -130,6 +130,24 @@ def test_inconsistent_mask_sidecar_exits_4(tmp_path, capsys, old, new):
     assert "mask sidecar" in capsys.readouterr().err
 
 
+def test_reconstruct_with_real_sensitivities(tmp_path):
+    """A real64 sensitivity file reconstructs exactly like the same maps stored as complex."""
+    sim_dir = tmp_path / "sim"
+    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "2"])
+    sens = read_tensor(sim_dir / "sens.bt")
+    write_tensor(sim_dir / "sens.bt", np.abs(sens))
+    write_tensor(sim_dir / "sens_c.bt", np.abs(sens).astype(np.complex128))
+    recons = []
+    for name in ("sens.bt", "sens_c.bt"):
+        out_dir = tmp_path / name
+        assert _run([
+            "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
+            "--sens", str(sim_dir / name), "--out-dir", str(out_dir), "--steps", "4",
+        ]) == 0
+        recons.append(read_tensor(out_dir / "recon.bt"))
+    assert np.array_equal(recons[0], recons[1])
+
+
 def test_bad_argument_exits_2(tmp_path):
     sim_dir = tmp_path / "sim"
     _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])

@@ -240,6 +240,7 @@ def _two_d_operators():
         flipped = column.bits.copy()
         flipped[h // 3, 0] ^= 1
         ops.append(_with_bits(flipped, coils, seed=h))
+        ops.append(ForwardOperator(part.gamma_mask, np.abs(sens)))  # real64 maps, as read from file
     return ops
 
 
@@ -250,6 +251,7 @@ def _column_operators():
         for kind in ("Gaussian1D", "Uniform1D"):
             ops.append(ForwardOperator(generate_mask(kind, h, w, 3, 0.1, seed=w), sens))
         ops.append(ForwardOperator(generate_mask("Uniform1D", h, w, 1, 0.1), sens))  # full
+        ops.append(ForwardOperator(generate_mask("Gaussian1D", h, w, 3, 0.1, seed=h), np.abs(sens)))
     return ops
 
 
