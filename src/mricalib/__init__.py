@@ -34,6 +34,7 @@ from .pipeline import (
     format_ablation_table,
     reconstruct,
     run_ablation,
+    shifted_cases,
     trace_columns,
 )
 from .priors import GaussianPrior, ScorePrior, gaussian_score, identity_delta, white_prior

@@ -13,8 +13,8 @@ one throughout the ladder.
 
 The calibration vector is tiny (two scalars per skip layer), so it is
 optimized derivative-free: central differences per coordinate or a
-two-evaluation simultaneous-perturbation estimate, followed by either a
-plain gradient step or an adaptive-moment step, always clamped to [0, 2].
+two-evaluation simultaneous-perturbation estimate, followed by an
+adaptive-moment step, always clamped to [0, 2].
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .sampler import tweedie_denoise
 
 @dataclass
 class MaskPartition:
-    lambda_mask: SamplingMask  # reconstruction set
-    gamma_mask: SamplingMask  # held-out set
-    split_seed: int
+    lambda_bits: np.ndarray  # reconstruction set, (H, W) uint8
+    gamma_bits: np.ndarray  # held-out set
 
 
 def partition_mask(mask: SamplingMask, holdout_fraction: float, seed: int = 0) -> MaskPartition:
@@ -70,18 +69,7 @@ def partition_mask(mask: SamplingMask, holdout_fraction: float, seed: int = 0) -
     gamma_bits = np.zeros_like(bits)
     gamma_bits[rows[to_gamma], cols[to_gamma]] = 1
     lambda_bits = (bits & ~gamma_bits).astype(np.uint8)
-
-    def _sub(sub_bits: np.ndarray) -> SamplingMask:
-        count = max(int(sub_bits.sum()), 1)
-        return SamplingMask(
-            kind="Gaussian2D",
-            accel=sub_bits.size / count,
-            acs_fraction=mask.acs_fraction,
-            seed=seed,
-            bits=sub_bits,
-        )
-
-    return MaskPartition(_sub(lambda_bits), _sub(gamma_bits), split_seed=seed)
+    return MaskPartition(lambda_bits, gamma_bits)
 
 
 def one_step_recon(
@@ -122,7 +110,7 @@ def ssl_loss(
     held-out set without energy leaves nothing to score and raises
     NumericError.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidArgumentError("tau must be > 0")
     held_energy = float(np.real(np.vdot(y_gamma, y_gamma)))
     if not held_energy > 0:
@@ -148,7 +136,6 @@ class DeltaOptState:
     step_size: float = 0.05
     fd_step: float = 1e-2
     method: str = "cd"  # "cd" | "spsa"
-    rule: str = "adam"  # "adam" | "sgd"
     iteration: int = 0
     seed: int = 0
     loss_history: list[float] = field(default_factory=list)
@@ -159,8 +146,6 @@ class DeltaOptState:
         self.delta = clamp_delta(self.delta)
         if self.method not in ("cd", "spsa"):
             raise InvalidArgumentError(f"unknown gradient method {self.method!r}")
-        if self.rule not in ("adam", "sgd"):
-            raise InvalidArgumentError(f"unknown update rule {self.rule!r}")
         if self.m is None:
             self.m = np.zeros_like(self.delta)
         if self.v is None:
@@ -203,16 +188,12 @@ def update_delta(state: DeltaOptState, objective: Callable[[np.ndarray], float])
         state.iteration += 1
         return state
     grad = _fd_gradient(state, objective)
-    if state.rule == "sgd":
-        step = state.step_size * grad
-    else:
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        state.m = b1 * state.m + (1 - b1) * grad
-        state.v = b2 * state.v + (1 - b2) * grad**2
-        k = state.iteration + 1
-        m_hat = state.m / (1 - b1**k)
-        v_hat = state.v / (1 - b2**k)
-        step = state.step_size * m_hat / (np.sqrt(v_hat) + eps)
-    state.delta = clamp_delta(state.delta - step)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state.m = b1 * state.m + (1 - b1) * grad
+    state.v = b2 * state.v + (1 - b2) * grad**2
+    k = state.iteration + 1
+    m_hat = state.m / (1 - b1**k)
+    v_hat = state.v / (1 - b2**k)
+    state.delta = clamp_delta(state.delta - state.step_size * m_hat / (np.sqrt(v_hat) + eps))
     state.iteration += 1
     return state

@@ -25,18 +25,16 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
 from .forward import ForwardOperator, apply_adjoint, normal_operator
+from .settings import COUNT, POSITIVE, check_settings, setting
 
 
 @dataclass(frozen=True)
 class CGConfig:
-    max_iters: int = 20
-    tol: float = 1e-6
+    max_iters: int = setting(20, "CG iteration cap per solve", COUNT, flag="--cg-iters")
+    tol: float = setting(1e-6, "relative residual at which CG stops", POSITIVE, flag="--cg-tol")
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise InvalidArgumentError("tol must be > 0")
+        check_settings(self)
 
 
 @dataclass

@@ -5,6 +5,10 @@ Subcommands:
     reconstruct  k-space + prior -> image, report, traces
     ablate       toggle-grid run over shifted phantoms -> table
     traces       saved report JSON -> plain-text trace columns
+    train        synthetic phantoms -> toy denoising prior weights
+
+The run-setting flags of reconstruct and ablate are generated from the
+fields of ReconConfig and its nested CGConfig (see settings.py).
 
 Exit codes: 0 success, 2 argument error, 3 numeric error, 4 I/O error.
 """
@@ -16,21 +20,13 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
-from .cg import CGConfig
 from .errors import FormatError, InvalidArgumentError, NumericError
-from .forward import (
-    ForwardOperator,
-    add_noise,
-    apply_forward,
-    generate_mask,
-    load_mask,
-    save_mask,
-    synth_coil_maps,
-)
-from .phantom import PhantomSpec, make_phantom
+from .forward import MASK_KINDS, ForwardOperator, load_mask, save_mask
+from .phantom import PHANTOM_KINDS, PhantomSpec, make_phantom
 from .pipeline import (
     ReconConfig,
     ReconReport,
@@ -39,74 +35,80 @@ from .pipeline import (
     format_ablation_table,
     reconstruct,
     run_ablation,
+    shifted_cases,
     trace_columns,
 )
 from .priors import GaussianPrior, white_prior
 from .tensorio import read_tensor, write_tensor
-from .unet import UNetScorePrior, load_weights
+from .unet import UNetArch, UNetScorePrior, load_weights, save_weights, train_toy_denoiser
 
 
-def _add_recon_flags(p: argparse.ArgumentParser) -> None:
-    d = ReconConfig()
-    p.add_argument("--steps", type=int, default=d.steps)
-    p.add_argument("--sigma-max", type=float, default=d.sigma_max)
-    p.add_argument("--sigma-min", type=float, default=d.sigma_min)
-    p.add_argument("--gamma-init", type=float, default=d.gamma_init)
-    p.add_argument("--delta-init", type=float, default=d.delta_init)
-    p.add_argument("--tau-reg", type=float, default=d.tau_reg)
-    p.add_argument("--window", type=int, default=d.window)
-    p.add_argument("--cg-iters", type=int, default=CGConfig().max_iters)
-    p.add_argument("--cg-tol", type=float, default=CGConfig().tol)
-    p.add_argument("--holdout-fraction", type=float, default=d.holdout_fraction)
-    p.add_argument("--tau-ssl", type=float, default=d.tau_ssl)
+def _add_setting_flags(p: argparse.ArgumentParser, cls: type = ReconConfig, prefix: str = "") -> None:
+    """One flag per declared field of cls; nested settings dataclasses are flattened."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind, dest, meta = hints[f.name], prefix + f.name, f.metadata
+        if dataclasses.is_dataclass(kind):
+            _add_setting_flags(p, kind, dest + ".")
+            continue
+        flag = meta["flag"] or "--" + f.name.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=dest, action="store_false" if f.default else "store_true",
+                           help=meta["help"])
+        else:
+            p.add_argument(flag, dest=dest, type=kind, default=f.default,
+                           choices=meta["rule"].choices if meta["rule"] else None,
+                           help=f"{meta['help']} (default: %(default)s)")
+
+
+def _config_from_args(args: argparse.Namespace, cls: type = ReconConfig, prefix: str = ""):
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        f.name: (_config_from_args(args, hints[f.name], f"{prefix}{f.name}.")
+                 if dataclasses.is_dataclass(hints[f.name]) else getattr(args, prefix + f.name))
+        for f in dataclasses.fields(cls)
+    })
+
+
+def _add_prior_flags(p: argparse.ArgumentParser, default: str) -> None:
+    p.add_argument("--prior", choices=("white", "gaussian", "unet"), default=default)
+    p.add_argument("--prior-mean", help="mean image tensor of --prior gaussian")
+    p.add_argument("--prior-spectrum", help="power spectrum tensor of --prior gaussian")
+    p.add_argument("--weights", help="weights file of --prior unet")
+    p.add_argument("--uncalibrated", action="store_true",
+                   help="run the network prior without calibration hooks")
     p.add_argument("--band-cutoff", type=float, default=None,
                    help="override the low/high split radius stored with the weights")
-    p.add_argument("--disable-fpc", action="store_true")
-    p.add_argument("--disable-rpa", action="store_true")
-    p.add_argument("--seed-init", type=int, default=d.seed_init)
-    p.add_argument("--seed-partition", type=int, default=d.seed_partition)
-    p.add_argument("--seed-mc", type=int, default=d.seed_mc)
-    p.add_argument("--seed-noise", type=int, default=d.seed_noise)
-    p.add_argument("--renoise-mode", choices=("deterministic", "stochastic"),
-                   default=d.renoise_mode)
-    p.add_argument("--redraw-partition", action="store_true")
-    p.add_argument("--sure-form", choices=("product", "additive"), default=d.sure_form)
-    p.add_argument("--sure-eps-scale", type=float, default=d.sure_eps_scale)
-    p.add_argument("--delta-step", type=float, default=d.delta_step)
-    p.add_argument("--delta-fd-step", type=float, default=d.delta_fd_step)
-    p.add_argument("--delta-method", choices=("cd", "spsa"), default=d.delta_method)
-    p.add_argument("--gamma-step", type=float, default=d.gamma_step)
-    p.add_argument("--gamma-fd-step", type=float, default=d.gamma_fd_step)
 
 
-def _config_from_args(args: argparse.Namespace) -> ReconConfig:
-    return ReconConfig(
-        steps=args.steps,
-        sigma_max=args.sigma_max,
-        sigma_min=args.sigma_min,
-        gamma_init=args.gamma_init,
-        delta_init=args.delta_init,
-        tau_reg=args.tau_reg,
-        window=args.window,
-        cg=CGConfig(max_iters=args.cg_iters, tol=args.cg_tol),
-        holdout_fraction=args.holdout_fraction,
-        tau_ssl=args.tau_ssl,
-        enable_fpc=not args.disable_fpc,
-        enable_rpa=not args.disable_rpa,
-        seed_init=args.seed_init,
-        seed_partition=args.seed_partition,
-        seed_mc=args.seed_mc,
-        seed_noise=args.seed_noise,
-        renoise_mode=args.renoise_mode,
-        redraw_partition=args.redraw_partition,
-        sure_form=args.sure_form,
-        sure_eps_scale=args.sure_eps_scale,
-        delta_step=args.delta_step,
-        delta_fd_step=args.delta_fd_step,
-        delta_method=args.delta_method,
-        gamma_step=args.gamma_step,
-        gamma_fd_step=args.gamma_fd_step,
+def _add_case_flags(p: argparse.ArgumentParser, coils: int, contrast: float,
+                    bias_amplitude: float, seeds: tuple[int, int, int]) -> None:
+    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--coils", type=int, default=coils)
+    p.add_argument("--kind", choices=MASK_KINDS, default="Gaussian1D")
+    p.add_argument("--accel", type=float, default=4.0)
+    p.add_argument("--acs-fraction", type=float, default=0.08)
+    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--phantom-kind", choices=PHANTOM_KINDS, default="ellipse-phantom")
+    p.add_argument("--contrast", type=float, default=contrast)
+    p.add_argument("--bias-amplitude", type=float, default=bias_amplitude)
+    p.add_argument("--resolution-scale", type=float, default=1.0)
+    p.add_argument("--seed-phantom", type=int, default=seeds[0])
+    p.add_argument("--seed-mask", type=int, default=seeds[1])
+    p.add_argument("--seed-coils", type=int, default=seeds[2])
+
+
+def _cases_from_args(args: argparse.Namespace, count: int) -> list[dict]:
+    spec = PhantomSpec(
+        kind=args.phantom_kind,
+        size=args.size,
+        contrast_exponent=args.contrast,
+        bias_amplitude=args.bias_amplitude,
+        resolution_scale=args.resolution_scale,
+        seed=args.seed_phantom,
     )
+    return shifted_cases(count, spec, args.coils, args.kind, args.accel, args.acs_fraction,
+                         args.noise_std, args.seed_mask, args.seed_coils, args.seed_noise)
 
 
 def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
@@ -120,7 +122,7 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
         if not args.weights:
             raise InvalidArgumentError("--prior unet needs --weights")
         weights = load_weights(args.weights)
-        if getattr(args, "band_cutoff", None) is not None:
+        if args.band_cutoff is not None:
             weights.arch = dataclasses.replace(weights.arch, band_cutoff=args.band_cutoff)
         return UNetScorePrior(weights, calibratable=not args.uncalibrated)
     raise InvalidArgumentError(f"unknown prior {args.prior!r}")
@@ -128,64 +130,32 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
 
 def _report_to_json(report: ReconReport, cfg: ReconConfig) -> dict:
     return {
-        "config": {
-            k: (dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v)
-            for k, v in dataclasses.asdict(cfg).items()
-        },
+        "config": dataclasses.asdict(cfg),
         "stopped_at": report.stopped_at,
         "psnr": report.psnr,
         "ssim": report.ssim,
         "wall_clock": report.wall_clock,
-        "records": [
-            {
-                "t": r.t,
-                "sigma": r.sigma,
-                "delta": [float(d) for d in r.delta],
-                "gamma": r.gamma,
-                "loss_ssl": r.loss_ssl,
-                "loss_reg": r.loss_reg,
-                "conv_metric": r.conv_metric,
-                "cg_residual": r.cg_residual,
-                "cg_iters": r.cg_iters,
-            }
-            for r in report.records
-        ],
+        "records": [{**dataclasses.asdict(r), "delta": r.delta.tolist()} for r in report.records],
     }
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = PhantomSpec(
-        kind=args.phantom_kind,
-        size=args.size,
-        contrast_exponent=args.contrast,
-        bias_amplitude=args.bias_amplitude,
-        resolution_scale=args.resolution_scale,
-        seed=args.seed_phantom,
-    )
-    phantom = make_phantom(spec)
-    mask = generate_mask(args.kind, args.size, args.size, args.accel,
-                         args.acs_fraction, args.seed_mask)
-    sens = synth_coil_maps(args.coils, args.size, args.size, args.seed_coils)
-    op = ForwardOperator(mask, sens)
-    y = apply_forward(phantom, op)
-    if args.noise_std > 0:
-        y = add_noise(y, mask, args.noise_std, args.seed_noise)
-
+    case = _cases_from_args(args, 1)[0]
     os.makedirs(args.out_dir, exist_ok=True)
-    write_tensor(os.path.join(args.out_dir, "kspace.bt"), y)
-    write_tensor(os.path.join(args.out_dir, "sens.bt"), sens)
-    write_tensor(os.path.join(args.out_dir, "reference.bt"), phantom)
-    save_mask(os.path.join(args.out_dir, "mask.bt"), mask)
+    write_tensor(os.path.join(args.out_dir, "kspace.bt"), case["y"])
+    write_tensor(os.path.join(args.out_dir, "sens.bt"), case["op"].sens)
+    write_tensor(os.path.join(args.out_dir, "reference.bt"), case["reference"])
+    save_mask(os.path.join(args.out_dir, "mask.bt"), case["op"].mask)
     print(f"wrote kspace/sens/mask/reference under {args.out_dir}")
     return 0
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
     y = read_tensor(args.kspace)
     mask = load_mask(args.mask)
     sens = read_tensor(args.sens)
     op = ForwardOperator(mask, sens)
-    cfg = _config_from_args(args)
     prior = _build_prior(args, op.shape)
     reference = read_tensor(args.reference) if args.reference else None
 
@@ -208,27 +178,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     prior = _build_prior(args, (args.size, args.size))
-    cases = []
-    for i in range(args.cases):
-        spec = PhantomSpec(
-            kind=args.phantom_kind,
-            size=args.size,
-            contrast_exponent=args.contrast,
-            bias_amplitude=args.bias_amplitude,
-            resolution_scale=args.resolution_scale,
-            seed=args.seed_phantom + i,
-        )
-        phantom = make_phantom(spec)
-        mask = generate_mask(args.kind, args.size, args.size, args.accel,
-                             args.acs_fraction, args.seed_mask + i)
-        sens = synth_coil_maps(args.coils, args.size, args.size, args.seed_coils + i)
-        op = ForwardOperator(mask, sens)
-        y = apply_forward(phantom, op)
-        if args.noise_std > 0:
-            y = add_noise(y, mask, args.noise_std, args.seed_noise + i)
-        cases.append({"y": y, "op": op, "reference": phantom})
-
-    table = run_ablation(cases, prior, cfg)
+    table = run_ablation(_cases_from_args(args, args.cases), prior, cfg)
     text = format_ablation_table(table)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "table.json"), "w") as fh:
@@ -240,29 +190,42 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
-    with open(args.report) as fh:
-        data = json.load(fh)
-    records = [
-        StepRecord(
-            t=r["t"],
-            sigma=r["sigma"],
-            delta=np.asarray(r["delta"], dtype=np.float64),
-            gamma=r["gamma"],
-            loss_ssl=r["loss_ssl"],
-            loss_reg=r["loss_reg"],
-            conv_metric=r["conv_metric"],
-            cg_residual=r["cg_residual"],
-            cg_iters=r["cg_iters"],
-        )
-        for r in data["records"]
-    ]
-    report = ReconReport(records=records, final_image=np.zeros((1, 1)), stopped_at=data["stopped_at"])
-    text = trace_columns(report)
+    try:  # any malformed part, down to a field trace_columns cannot format; OSError passes
+        with open(args.report) as fh:
+            data = json.load(fh)
+        records = [StepRecord(**{**r, "delta": np.asarray(r["delta"], dtype=np.float64)})
+                   for r in data["records"]]
+        text = trace_columns(ReconReport(records, np.zeros((1, 1)), data["stopped_at"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed report {args.report}: {exc!r}") from exc
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    arch = UNetArch(
+        widths=tuple(args.widths),
+        bottleneck=args.bottleneck,
+        emb_steps=args.emb_steps,
+        sigma_min=args.sigma_min,
+        sigma_max=args.sigma_max,
+        band_cutoff=args.band_cutoff,
+    )
+    images = [
+        make_phantom(PhantomSpec(size=args.size, seed=s, kind=k))
+        for s in range(args.images)
+        for k in args.kinds
+    ]
+    weights = train_toy_denoiser(
+        images, epochs=args.epochs, seed=args.seed, arch=arch,
+        lr=args.lr, batch_size=args.batch_size,
+    )
+    save_weights(args.out, weights)
+    print(f"saved weights for {arch.layer_count}-skip network to {args.out}")
     return 0
 
 
@@ -272,22 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="phantom -> k-space tensor files")
     sim.add_argument("--out-dir", required=True)
-    sim.add_argument("--size", type=int, default=64)
-    sim.add_argument("--coils", type=int, default=4)
-    sim.add_argument("--kind", choices=("Gaussian1D", "Uniform1D", "Gaussian2D"),
-                     default="Gaussian1D")
-    sim.add_argument("--accel", type=float, default=4.0)
-    sim.add_argument("--acs-fraction", type=float, default=0.08)
-    sim.add_argument("--noise-std", type=float, default=0.0)
-    sim.add_argument("--phantom-kind",
-                     choices=("ellipse-phantom", "piecewise-smooth", "texture-mix"),
-                     default="ellipse-phantom")
-    sim.add_argument("--contrast", type=float, default=1.0)
-    sim.add_argument("--bias-amplitude", type=float, default=0.0)
-    sim.add_argument("--resolution-scale", type=float, default=1.0)
-    sim.add_argument("--seed-phantom", type=int, default=0)
-    sim.add_argument("--seed-mask", type=int, default=0)
-    sim.add_argument("--seed-coils", type=int, default=0)
+    _add_case_flags(sim, coils=4, contrast=1.0, bias_amplitude=0.0, seeds=(0, 0, 0))
     sim.add_argument("--seed-noise", type=int, default=0)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -296,48 +244,42 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--mask", required=True)
     rec.add_argument("--sens", required=True)
     rec.add_argument("--out-dir", required=True)
-    rec.add_argument("--prior", choices=("white", "gaussian", "unet"), default="white")
-    rec.add_argument("--prior-mean")
-    rec.add_argument("--prior-spectrum")
-    rec.add_argument("--weights")
-    rec.add_argument("--uncalibrated", action="store_true",
-                     help="run the network prior without calibration hooks")
+    _add_prior_flags(rec, default="white")
     rec.add_argument("--reference")
     rec.add_argument("--emit-images", action="store_true")
-    _add_recon_flags(rec)
+    _add_setting_flags(rec)
     rec.set_defaults(func=_cmd_reconstruct)
 
     abl = sub.add_parser("ablate", help="toggle-grid ablation over shifted phantoms")
     abl.add_argument("--out-dir", required=True)
     abl.add_argument("--cases", type=int, default=4)
-    abl.add_argument("--size", type=int, default=64)
-    abl.add_argument("--coils", type=int, default=2)
-    abl.add_argument("--kind", choices=("Gaussian1D", "Uniform1D", "Gaussian2D"),
-                     default="Gaussian1D")
-    abl.add_argument("--accel", type=float, default=4.0)
-    abl.add_argument("--acs-fraction", type=float, default=0.08)
-    abl.add_argument("--noise-std", type=float, default=0.0)
-    abl.add_argument("--phantom-kind",
-                     choices=("ellipse-phantom", "piecewise-smooth", "texture-mix"),
-                     default="ellipse-phantom")
-    abl.add_argument("--contrast", type=float, default=1.5)
-    abl.add_argument("--bias-amplitude", type=float, default=0.3)
-    abl.add_argument("--resolution-scale", type=float, default=1.0)
-    abl.add_argument("--seed-phantom", type=int, default=1000)
-    abl.add_argument("--seed-mask", type=int, default=2000)
-    abl.add_argument("--seed-coils", type=int, default=3000)
-    abl.add_argument("--prior", choices=("white", "gaussian", "unet"), default="unet")
-    abl.add_argument("--prior-mean")
-    abl.add_argument("--prior-spectrum")
-    abl.add_argument("--weights")
-    abl.add_argument("--uncalibrated", action="store_true")
-    _add_recon_flags(abl)
+    _add_case_flags(abl, coils=2, contrast=1.5, bias_amplitude=0.3, seeds=(1000, 2000, 3000))
+    _add_prior_flags(abl, default="unet")
+    _add_setting_flags(abl)  # its --seed-noise also seeds case i's measurement noise (+ i)
     abl.set_defaults(func=_cmd_ablate)
 
     trc = sub.add_parser("traces", help="report JSON -> plain-text trace columns")
     trc.add_argument("--report", required=True)
     trc.add_argument("--out")
     trc.set_defaults(func=_cmd_traces)
+
+    trn = sub.add_parser("train", help="synthetic phantoms -> toy denoising prior weights")
+    trn.add_argument("--out", required=True, help="weights path (.bt + .bt.arch)")
+    trn.add_argument("--size", type=int, default=64)
+    trn.add_argument("--images", type=int, default=12, help="images per phantom kind")
+    trn.add_argument("--kinds", nargs="+", choices=PHANTOM_KINDS,
+                     default=["ellipse-phantom", "piecewise-smooth"])
+    trn.add_argument("--epochs", type=int, default=120)
+    trn.add_argument("--lr", type=float, default=0.3)
+    trn.add_argument("--batch-size", type=int, default=4)
+    trn.add_argument("--seed", type=int, default=0)
+    trn.add_argument("--widths", type=int, nargs="+", default=[8, 16])
+    trn.add_argument("--bottleneck", type=int, default=32)
+    trn.add_argument("--emb-steps", type=int, default=25)
+    trn.add_argument("--sigma-min", type=float, default=0.01)
+    trn.add_argument("--sigma-max", type=float, default=1.0)
+    trn.add_argument("--band-cutoff", type=float, default=0.25)
+    trn.set_defaults(func=_cmd_train)
 
     return parser
 

@@ -48,10 +48,6 @@ class SamplingMask:
     def shape(self) -> tuple[int, int]:
         return self.bits.shape
 
-    @property
-    def sampled_count(self) -> int:
-        return int(self.bits.sum())
-
 
 @dataclass
 class ForwardOperator:
@@ -76,17 +72,12 @@ class ForwardOperator:
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
 
-    def with_mask(self, bits: np.ndarray, kind: str = "Gaussian2D", seed: int = 0) -> "ForwardOperator":
-        """Same physics restricted to a different sampled set (e.g. a mask split)."""
-        count = max(int(bits.sum()), 1)
-        sub = SamplingMask(
-            kind=kind,
-            accel=bits.size / count,
-            acs_fraction=self.mask.acs_fraction,
-            seed=seed,
-            bits=bits.astype(np.uint8),
-        )
-        return replace(self, mask=sub)
+    def with_mask(self, bits: np.ndarray) -> "ForwardOperator":
+        """Same physics restricted to a different sampled set (e.g. a mask split).
+
+        Only the bits change: the operator reads nothing else of the mask.
+        """
+        return replace(self, mask=replace(self.mask, bits=bits.astype(np.uint8)))
 
 
 def _acs_band(n: int, fraction: float) -> tuple[int, int]:
@@ -130,10 +121,8 @@ def generate_mask(
         raise InvalidArgumentError(f"unknown mask kind {kind!r}, expected one of {MASK_KINDS}")
     if height < 1 or width < 1:
         raise InvalidArgumentError("mask dimensions must be positive")
-    if accel < 1:
-        raise InvalidArgumentError(f"acceleration factor must be >= 1, got {accel}")
-    if accel > width:
-        raise InvalidArgumentError(f"acceleration {accel} exceeds width {width}")
+    if not 1 <= accel <= width:
+        raise InvalidArgumentError(f"acceleration factor must lie in [1, width={width}], got {accel}")
     if not 0 < acs_fraction <= 1:
         raise InvalidArgumentError(f"acs_fraction must lie in (0, 1], got {acs_fraction}")
 
@@ -296,8 +285,8 @@ def zero_filled(y: np.ndarray, op: ForwardOperator) -> np.ndarray:
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise_std: float, seed: int = 0) -> np.ndarray:
     """Add i.i.d. complex Gaussian noise (per-component std) on sampled entries only."""
-    if noise_std < 0:
-        raise InvalidArgumentError("noise_std must be >= 0")
+    if not noise_std >= 0:
+        raise InvalidArgumentError(f"noise_std must be >= 0, got {noise_std}")
     y = np.asarray(y, dtype=np.complex128)
     if noise_std == 0:
         return y.copy()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,16 @@ from .calibration import (
 )
 from .cg import CGConfig, solve_p3
 from .errors import InvalidArgumentError
-from .forward import ForwardOperator, apply_forward, zero_filled
+from .forward import (
+    ForwardOperator,
+    add_noise,
+    apply_forward,
+    generate_mask,
+    synth_coil_maps,
+    zero_filled,
+)
 from .metrics import psnr, ssim
+from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, validate_delta
 from .sampler import build_schedule, renoise, tweedie_denoise
 from .regularization import (
@@ -58,45 +66,51 @@ from .regularization import (
     sure_loss,
     update_gamma,
 )
+from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule, check_settings, one_of, setting
 
 
 @dataclass
 class ReconConfig:
-    steps: int = 100
-    sigma_max: float = 1.0
-    sigma_min: float = 0.01
-    gamma_init: float = 1.0
-    delta_init: float = 1.0
-    tau_reg: float = 0.001
-    window: int = 5
-    cg: CGConfig = field(default_factory=CGConfig)
-    holdout_fraction: float = 0.2
-    tau_ssl: float = 1.0
-    enable_fpc: bool = True
-    enable_rpa: bool = True
-    seed_init: int = 0
-    seed_partition: int = 0
-    seed_mc: int = 0
-    seed_noise: int = 0
-    renoise_mode: str = "deterministic"
-    redraw_partition: bool = False
-    sure_form: str = "product"
-    sure_eps_scale: float = 1e-3
-    delta_step: float = 0.05
-    delta_fd_step: float = 0.01
-    delta_method: str = "cd"
-    gamma_step: float = 0.1
-    gamma_fd_step: float = 0.05
+    """Every run setting; the command line and the report derive from these fields."""
+
+    steps: int = setting(100, "reverse steps on the noise ladder", COUNT)
+    sigma_max: float = setting(1.0, "noise level of the first step", POSITIVE)
+    sigma_min: float = setting(0.01, "noise level of the last step", POSITIVE)
+    gamma_init: float = setting(1.0, "initial data-fidelity weight (0 turns fidelity off)",
+                                NON_NEGATIVE)
+    delta_init: float = setting(1.0, "initial value of every calibration scalar",
+                                Rule("in [0, 2]", lambda v: not 0 <= v <= 2))
+    tau_reg: float = setting(0.001, "early-stop threshold of the weight walk", NON_NEGATIVE)
+    window: int = setting(5, "sliding-window length of the early stop", COUNT)
+    cg: CGConfig = setting(help="data-fidelity solver", default_factory=CGConfig)
+    holdout_fraction: float = setting(0.2, "share of sampled k-space held out for calibration",
+                                      Rule("in (0, 1)", lambda v: not 0 < v < 1))
+    tau_ssl: float = setting(1.0, "weight of the held-out loss", POSITIVE)
+    enable_fpc: bool = setting(True, "prior calibration (the flag turns it off)",
+                               flag="--disable-fpc")
+    enable_rpa: bool = setting(True, "regularization-weight walk (the flag turns it off)",
+                               flag="--disable-rpa")
+    seed_init: int = setting(0, "seed of the initial noise image", SEED)
+    seed_partition: int = setting(0, "seed of the k-space holdout split and SPSA directions", SEED)
+    seed_mc: int = setting(0, "seed of the risk estimate's probes", SEED)
+    seed_noise: int = setting(0, "seed of the renoise transitions", SEED)
+    renoise_mode: str = setting("deterministic", "transition to the next noise level",
+                                one_of("deterministic", "stochastic"))
+    sure_form: str = setting("product", "form of the randomized risk estimate",
+                             one_of("product", "additive"))
+    sure_eps_scale: float = setting(1e-3, "risk probe size relative to max |x|", POSITIVE)
+    delta_step: float = setting(0.05, "calibration step size", POSITIVE)
+    delta_fd_step: float = setting(0.01, "calibration perturbation size", POSITIVE)
+    delta_method: str = setting("cd", "calibration gradient estimate", one_of("cd", "spsa"))
+    gamma_step: float = setting(0.1, "weight-walk step size in log gamma", POSITIVE)
+    gamma_fd_step: float = setting(0.05, "weight-walk perturbation size in log gamma", POSITIVE)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise InvalidArgumentError("steps must be >= 1")
-        if self.gamma_init < 0:
-            raise InvalidArgumentError("gamma_init must be >= 0")
+        check_settings(self)
+        if not self.sigma_max > self.sigma_min:
+            raise InvalidArgumentError("sigma_max must exceed sigma_min")
         if self.gamma_init == 0 and self.enable_rpa:
             raise InvalidArgumentError("gamma_init = 0 (fidelity off) requires enable_rpa = False")
-        if not 0 <= self.delta_init <= 2:
-            raise InvalidArgumentError("delta_init must lie in [0, 2]")
 
 
 @dataclass
@@ -117,7 +131,6 @@ class ReconReport:
     records: list[StepRecord]
     final_image: np.ndarray
     stopped_at: int | None  # 1-based step index at which gamma froze
-    zero_fill: np.ndarray | None = None
     reference: np.ndarray | None = None
     psnr: float | None = None
     ssim: float | None = None
@@ -167,9 +180,10 @@ def reconstruct(
             mc_seed=cfg.seed_mc,
         )
 
-    part = None
     if run_fpc:
         part = partition_mask(op.mask, cfg.holdout_fraction, cfg.seed_partition)
+        op_l, op_g = op.with_mask(part.lambda_bits), op.with_mask(part.gamma_bits)
+        y_l, y_g = y * part.lambda_bits[None], y * part.gamma_bits[None]
     x_zf = zero_filled(y, op)
 
     rng = np.random.default_rng(cfg.seed_init)
@@ -184,17 +198,9 @@ def reconstruct(
 
         loss_ssl = None
         if run_fpc:
-            if cfg.redraw_partition:
-                part = partition_mask(op.mask, cfg.holdout_fraction, (cfg.seed_partition, t))
-            op_l = op.with_mask(part.lambda_mask.bits, seed=part.split_seed)
-            op_g = op.with_mask(part.gamma_mask.bits, seed=part.split_seed)
-            y_l = y * part.lambda_mask.bits[None]
-            y_g = y * part.gamma_mask.bits[None]
-
-            def objective(d, _sigma=sigma, _w=gamma, _ol=op_l, _og=op_g, _yl=y_l, _yg=y_g,
-                          _xl=x_lambda):
+            def objective(d, _sigma=sigma, _w=gamma, _xl=x_lambda):
                 return (
-                    ssl_loss(d, _xl, _sigma, cfg.tau_ssl, prior, _yl, _ol, _yg, _og, _w, cfg.cg)
+                    ssl_loss(d, _xl, _sigma, cfg.tau_ssl, prior, y_l, op_l, y_g, op_g, _w, cfg.cg)
                     + delta_penalty(d)
                 )
 
@@ -257,7 +263,6 @@ def reconstruct(
         records=records,
         final_image=x,
         stopped_at=stopped_at,
-        zero_fill=x_zf,
         reference=None if reference is None else np.asarray(reference, dtype=np.complex128),
         wall_clock=time.perf_counter() - started,
     )
@@ -277,6 +282,34 @@ ABLATION_ROWS = (
     ("w/o FPC", False, True),  # weight adaptation only
     ("Ours", True, True),
 )
+
+
+def shifted_cases(
+    count: int,
+    spec: PhantomSpec,
+    coils: int,
+    kind: str = "Gaussian1D",
+    accel: float = 4.0,
+    acs_fraction: float = 0.08,
+    noise_std: float = 0.0,
+    seed_mask: int = 0,
+    seed_coils: int = 0,
+    seed_noise: int = 0,
+) -> list[dict]:
+    """Simulated (y, op, reference) cases for run_ablation.
+
+    Case i draws its phantom from spec with seed spec.seed + i, and its
+    mask, coil maps and measurement noise from seed_mask + i,
+    seed_coils + i and seed_noise + i.
+    """
+    cases = []
+    for i in range(count):
+        phantom = make_phantom(dataclasses.replace(spec, seed=spec.seed + i))
+        mask = generate_mask(kind, spec.size, spec.size, accel, acs_fraction, seed_mask + i)
+        op = ForwardOperator(mask, synth_coil_maps(coils, spec.size, spec.size, seed_coils + i))
+        y = add_noise(apply_forward(phantom, op), mask, noise_std, seed_noise + i)
+        cases.append({"y": y, "op": op, "reference": phantom})
+    return cases
 
 
 def run_ablation(

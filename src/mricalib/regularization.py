@@ -107,7 +107,7 @@ class RegAdaptState:
     v: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise InvalidArgumentError("gamma must be > 0")
 
 

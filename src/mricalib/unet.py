@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -463,42 +463,30 @@ def save_weights(path: str | os.PathLike, weights: UNetWeights) -> None:
     shapes = arch.param_shapes()
     flat = np.concatenate([weights.params[name].ravel() for name in shapes])
     write_tensor(path, flat)
-    lines = [
-        f"in_channels={arch.in_channels}",
-        "widths=" + ",".join(str(w) for w in arch.widths),
-        f"bottleneck={arch.bottleneck}",
-        f"kernel={arch.kernel}",
-        f"emb_steps={arch.emb_steps}",
-        f"sigma_min={arch.sigma_min!r}",
-        f"sigma_max={arch.sigma_max!r}",
-        f"band_cutoff={arch.band_cutoff!r}",
-    ]
     with open(f"{os.fspath(path)}.arch", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for f in fields(arch):
+            value = getattr(arch, f.name)
+            text = ",".join(str(w) for w in value) if isinstance(value, tuple) else repr(value)
+            fh.write(f"{f.name}={text}\n")
 
 
 def load_weights(path: str | os.PathLike) -> UNetWeights:
     desc_path = f"{os.fspath(path)}.arch"
     if not os.path.exists(desc_path):
         raise FormatError(f"missing architecture descriptor {desc_path}")
-    fields: dict[str, str] = {}
+    text: dict[str, str] = {}
     with open(desc_path) as fh:
         for line in fh:
             line = line.strip()
             if line and "=" in line:
                 key, val = line.split("=", 1)
-                fields[key] = val
-    try:
-        arch = UNetArch(
-            in_channels=int(fields["in_channels"]),
-            widths=tuple(int(w) for w in fields["widths"].split(",")),
-            bottleneck=int(fields["bottleneck"]),
-            kernel=int(fields["kernel"]),
-            emb_steps=int(fields["emb_steps"]),
-            sigma_min=float(fields["sigma_min"]),
-            sigma_max=float(fields["sigma_max"]),
-            band_cutoff=float(fields["band_cutoff"]),
-        )
+                text[key] = val
+    try:  # every field is required; its default's type parses it
+        arch = UNetArch(**{
+            f.name: (tuple(int(w) for w in text[f.name].split(","))
+                     if isinstance(f.default, tuple) else type(f.default)(text[f.name]))
+            for f in fields(UNetArch)
+        })
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad architecture descriptor: {exc}") from exc
 

@@ -20,7 +20,6 @@ from mricalib import (
     PhantomSpec,
     ReconConfig,
     RegAdaptState,
-    add_noise,
     apply_adjoint,
     apply_forward,
     build_schedule,
@@ -33,6 +32,7 @@ from mricalib import (
     psnr,
     reconstruct,
     run_ablation,
+    shifted_cases,
     solve_p3,
     synth_coil_maps,
     tweedie_denoise,
@@ -250,16 +250,10 @@ def test_criterion_8_directional_ablation():
     weights = train_toy_denoiser(train, epochs=120, seed=0, arch=arch, lr=0.3, batch_size=4)
     prior = UNetScorePrior(weights)
 
-    cases = []
-    for i in range(20):
-        phantom = make_phantom(
-            PhantomSpec(size=64, seed=500 + i, contrast_exponent=1.5, bias_amplitude=0.3)
-        )
-        mask = generate_mask("Gaussian1D", 64, 64, 4, 0.08, seed=600 + i)
-        sens = synth_coil_maps(2, 64, 64, seed=700 + i)
-        op = ForwardOperator(mask, sens)
-        y = add_noise(apply_forward(phantom, op), mask, 0.01, seed=800 + i)
-        cases.append({"y": y, "op": op, "reference": phantom})
+    cases = shifted_cases(
+        20, PhantomSpec(size=64, seed=500, contrast_exponent=1.5, bias_amplitude=0.3),
+        coils=2, accel=4, noise_std=0.01, seed_mask=600, seed_coils=700, seed_noise=800,
+    )
 
     cfg = ReconConfig(
         steps=25, sigma_max=0.5, sigma_min=0.01, gamma_init=1.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from mricalib import read_tensor, write_tensor
-from mricalib.cli import main
+from mricalib import CGConfig, ReconConfig, read_tensor, write_tensor
+from mricalib.cli import _config_from_args, build_parser, main
 from mricalib.tensorio import MAGIC
 
 
@@ -229,3 +230,135 @@ def test_ablate_smoke(tmp_path):
     table = json.loads((out / "table.json").read_text())
     assert [row["label"] for row in table] == ["Baseline", "w/o RPA", "w/o FPC", "Ours"]
     assert (out / "table.txt").exists()
+
+
+MINIMAL_RECONSTRUCT = ["reconstruct", "--kspace", "k.bt", "--mask", "m.bt", "--sens", "s.bt",
+                       "--out-dir", "o"]
+
+
+def _parsed_config(extra):
+    return _config_from_args(build_parser().parse_args(MINIMAL_RECONSTRUCT + extra))
+
+
+def test_minimal_reconstruct_argv_gives_default_config():
+    assert _parsed_config([]) == ReconConfig()
+
+
+# flag, its non-default value, and the field it must land in
+SETTING_FLAGS = [
+    (["--steps", "7"], "steps", 7),
+    (["--sigma-max", "0.8"], "sigma_max", 0.8),
+    (["--sigma-min", "0.02"], "sigma_min", 0.02),
+    (["--gamma-init", "2.5"], "gamma_init", 2.5),
+    (["--delta-init", "1.5"], "delta_init", 1.5),
+    (["--tau-reg", "0.01"], "tau_reg", 0.01),
+    (["--window", "3"], "window", 3),
+    (["--cg-iters", "9"], "cg.max_iters", 9),
+    (["--cg-tol", "1e-9"], "cg.tol", 1e-9),
+    (["--holdout-fraction", "0.3"], "holdout_fraction", 0.3),
+    (["--tau-ssl", "2.0"], "tau_ssl", 2.0),
+    (["--disable-fpc"], "enable_fpc", False),
+    (["--disable-rpa"], "enable_rpa", False),
+    (["--seed-init", "4"], "seed_init", 4),
+    (["--seed-partition", "5"], "seed_partition", 5),
+    (["--seed-mc", "6"], "seed_mc", 6),
+    (["--seed-noise", "7"], "seed_noise", 7),
+    (["--renoise-mode", "stochastic"], "renoise_mode", "stochastic"),
+    (["--sure-form", "additive"], "sure_form", "additive"),
+    (["--sure-eps-scale", "0.01"], "sure_eps_scale", 0.01),
+    (["--delta-step", "0.1"], "delta_step", 0.1),
+    (["--delta-fd-step", "0.02"], "delta_fd_step", 0.02),
+    (["--delta-method", "spsa"], "delta_method", "spsa"),
+    (["--gamma-step", "0.3"], "gamma_step", 0.3),
+    (["--gamma-fd-step", "0.1"], "gamma_fd_step", 0.1),
+]
+
+
+def test_setting_flags_cover_every_field():
+    fields = {f.name for f in dataclasses.fields(ReconConfig)} - {"cg"}
+    fields |= {f"cg.{f.name}" for f in dataclasses.fields(CGConfig)}
+    assert sorted(path for _, path, _ in SETTING_FLAGS) == sorted(fields)
+
+
+@pytest.mark.parametrize("extra, path, value", SETTING_FLAGS, ids=[a[0] for a, _, _ in SETTING_FLAGS])
+def test_setting_flag_lands_in_its_field(extra, path, value):
+    if path.startswith("cg."):
+        expected = ReconConfig(cg=dataclasses.replace(CGConfig(), **{path[3:]: value}))
+    else:
+        expected = dataclasses.replace(ReconConfig(), **{path: value})
+    assert expected != ReconConfig()
+    assert _parsed_config(extra) == expected
+
+
+@pytest.fixture(scope="module")
+def sim16(tmp_path_factory):
+    sim_dir = tmp_path_factory.mktemp("sim16")
+    assert _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"]) == 0
+    return sim_dir
+
+
+@pytest.mark.parametrize("extra", [
+    ["--cg-tol", "nan"],
+    ["--tau-reg", "nan"],
+    ["--gamma-step", "-0.3"],
+    ["--delta-step", "nan"],
+    ["--delta-fd-step", "nan"],
+    ["--tau-ssl", "nan"],
+    ["--seed-init", "-1"],
+    ["--seed-mc", "-1"],
+], ids=lambda extra: " ".join(extra))
+def test_bad_run_setting_exits_2(tmp_path, capsys, sim16, extra):
+    code = _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+        "--sens", str(sim16 / "sens.bt"), "--out-dir", str(tmp_path / "o"), "--steps", "3",
+    ] + extra)
+    assert code == 2
+    assert "argument error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_nan_accel_exits_2(tmp_path):
+    assert _run(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "16",
+                 "--accel", "nan"]) == 2
+
+
+VALID_RECORD = {"t": 1, "sigma": 0.1, "delta": [1.0, 0.5], "gamma": 1.0, "loss_ssl": None,
+                "loss_reg": 0.2, "conv_metric": None, "cg_residual": 1e-3, "cg_iters": 4}
+
+
+def test_malformed_report_exits_4(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"stopped_at": None, "records": [VALID_RECORD]}))
+    assert _run(["traces", "--report", str(report), "--out", str(tmp_path / "t.txt")]) == 0
+    missing = {k: v for k, v in VALID_RECORD.items() if k != "sigma"}
+    malformed = [
+        "{\"records\": [",  # truncated JSON
+        json.dumps({"stopped_at": None}),  # no records
+        json.dumps({"stopped_at": None, "records": [missing]}),
+        json.dumps({"stopped_at": None, "records": [{**VALID_RECORD, "extra": 1}]}),
+        json.dumps({"stopped_at": None, "records": [{**VALID_RECORD, "sigma": "x"}]}),
+        json.dumps({"stopped_at": None, "records": [[1, 2]]}),
+        json.dumps([]),
+    ]
+    for text in malformed:
+        report.write_text(text)
+        assert _run(["traces", "--report", str(report)]) == 4, text
+        assert "malformed report" in capsys.readouterr().err
+    report.write_bytes(b"\xff\xfe{")
+    assert _run(["traces", "--report", str(report)]) == 4
+
+
+def test_train_subcommand_matches_library_training(tmp_path):
+    from mricalib.phantom import PhantomSpec, make_phantom
+    from mricalib.unet import UNetArch, save_weights, train_toy_denoiser
+
+    assert _run(["train", "--out", str(tmp_path / "cli.bt"), "--size", "16", "--images", "1",
+                 "--epochs", "1", "--widths", "4", "8", "--bottleneck", "8"]) == 0
+    arch = UNetArch(widths=(4, 8), bottleneck=8, emb_steps=25, sigma_min=0.01, sigma_max=1.0,
+                    band_cutoff=0.25)
+    images = [make_phantom(PhantomSpec(size=16, seed=0, kind=k))
+              for k in ("ellipse-phantom", "piecewise-smooth")]
+    save_weights(tmp_path / "lib.bt", train_toy_denoiser(images, epochs=1, seed=0, arch=arch,
+                                                         lr=0.3, batch_size=4))
+    for suffix in (".bt", ".bt.arch"):
+        assert (tmp_path / f"cli{suffix}").read_bytes() == (tmp_path / f"lib{suffix}").read_bytes()

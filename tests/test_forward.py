@@ -236,11 +236,12 @@ def _two_d_operators():
         ops.append(ForwardOperator(generate_mask("Gaussian2D", h, w, 3, 0.1, seed=w), sens))
         column = generate_mask("Gaussian1D", h, w, 3, 0.1, seed=w)
         part = partition_mask(column, 0.4, seed=h)
-        ops += [ForwardOperator(part.lambda_mask, sens), ForwardOperator(part.gamma_mask, sens)]
+        ops += [ForwardOperator(column, sens).with_mask(part.lambda_bits),
+                ForwardOperator(column, sens).with_mask(part.gamma_bits)]
         flipped = column.bits.copy()
         flipped[h // 3, 0] ^= 1
         ops.append(_with_bits(flipped, coils, seed=h))
-        ops.append(ForwardOperator(part.gamma_mask, np.abs(sens)))  # real64 maps, as read from file
+        ops.append(ForwardOperator(column, np.abs(sens)).with_mask(part.gamma_bits))  # real64, as read from file
     return ops
 
 
