@@ -9,11 +9,9 @@ warm-started at x_dot.  The operator is well conditioned (eigenvalues in
 [1, 1 + gamma * ||A||^2]) so a modest iteration budget suffices inside an
 outer loop; callers that need oracle-grade accuracy pass a tighter config.
 
-Each solve builds AᴴA once with forward.normal_operator, which picks its
-path from the mask bits: column masks (every row of bits equal) use
-readout decoupling, within 1e-13 relative of
-apply_adjoint(apply_forward(v)); any other mask uses the shift-folded FFT
-path, bit-identical to it.
+Each solve builds AᴴA once with forward.normal_operator, one path for
+every mask (sub-column readout decoupling), within 1e-13 relative of
+apply_adjoint(apply_forward(v)).
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
         records = [StepRecord(**{**r, "delta": np.asarray(r["delta"], dtype=np.float64)})
                    for r in data["records"]]
         text = trace_columns(ReconReport(records, np.zeros((1, 1)), data["stopped_at"]))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed report {args.report}: {exc!r}") from exc
     if args.out:
         with open(args.out, "w") as fh:

@@ -8,15 +8,12 @@ sensitivity-weighted coil combination and AᴴA the identity under full
 sampling.
 
 apply_forward/apply_adjoint are the reference.  normal_operator(op) builds
-v -> AᴴA v once for the many applications of a CG solve and picks one of
-two paths from the mask bits, never from SamplingMask.kind:
-
-- column path, when every row of the bits is equal (Gaussian1D, Uniform1D,
-  full sampling): readout decoupling, F₂ᴴ(1⊗m)F₂ = I ⊗ F_Wᴴ diag(m) F_W,
-  so no FFT is needed; within 1e-13 relative of the reference;
-- 2-D path, for any other mask (Gaussian2D, the calibration holdout
-  splits): the centring rolls are folded into pre-shifted sensitivities
-  and mask; bit-identical to the reference.
+v -> AᴴA v once for the many applications of a CG solve.  It works on the
+k columns the mask occupies only (sub-column readout decoupling): the
+W-direction DFT is a (W, k) matrix product, and the H-direction mask is
+an FFT pair along each occupied column, skipped when those columns are
+fully sampled (Gaussian1D, Uniform1D, full sampling), where no FFT is
+left at all.  Within 1e-13 relative of the reference for every mask.
 """
 
 from __future__ import annotations
@@ -228,52 +225,37 @@ def apply_adjoint(y: np.ndarray, op: ForwardOperator) -> np.ndarray:
 def normal_operator(op: ForwardOperator) -> Callable[[np.ndarray], np.ndarray]:
     """v -> AᴴA v for a fixed operator, set up once for many applications.
 
-    Column masks: AᴴA v = sum_c conj(S_c) * ((S_c v) Vᵀ) V̄, where V holds
-    the rows of the centred orthonormal W-point DFT at the k sampled
-    columns.  Other masks: one ifftshift, fft2, mask, ifft2, coil sum and
-    fftshift per call, every product in the reference's operand order
-    (numpy's complex multiply is not bitwise commutative).  See the module
-    docstring for the exactness of each path.
+    AᴴA v = sum_c conj(S_c) * G((S_c v) Vᵀ) V̄, where V holds the rows of
+    the centred orthonormal W-point DFT at the k occupied columns, and G
+    applies the band bits bits[:, cols] along H to the (C, H, k) band:
+    fft, multiply by the ifftshift-ed band bits, ifft.  Each band column
+    then sees a circulant, which commutes with the centring shifts, so
+    only the bits are shifted.  A fully sampled band makes G the
+    identity, and the step is skipped.
     """
     sens = np.asarray(op.sens, dtype=np.complex128)  # real or complex64 maps size complex buffers
     bits = op.mask.bits
-    if np.all(bits == bits[:1]):
-        return _column_normal(sens, np.flatnonzero(bits[0]))
-    return _shifted_normal(sens, bits)
-
-
-def _column_normal(sens: np.ndarray, cols: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    cols = np.flatnonzero(bits.any(axis=0))
     eye = np.eye(sens.shape[-1], dtype=np.complex128)
     dft = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(eye, axes=0), axis=0, norm="ortho"), axes=0)
     rows = dft[cols]  # V, (k, W)
     rows_conj = np.conj(rows)
     sens_conj = np.conj(sens)
+    band_bits = bits[:, cols]
+    h_mask = None if band_bits.all() else np.fft.ifftshift(band_bits, axes=0).astype(np.complex128)
     stack = np.empty_like(sens)
     band = np.empty((*sens.shape[:2], cols.size), dtype=np.complex128)
 
     def apply(v: np.ndarray) -> np.ndarray:
         np.multiply(sens, v, out=stack)
         np.matmul(stack, rows.T, out=band)
+        if h_mask is not None:
+            np.fft.fft(band, axis=1, out=band)
+            np.multiply(band, h_mask, out=band)
+            np.fft.ifft(band, axis=1, out=band)
         np.matmul(band, rows_conj, out=stack)
         np.multiply(stack, sens_conj, out=stack)
         return stack.sum(axis=0)
-
-    return apply
-
-
-def _shifted_normal(sens: np.ndarray, bits: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    sens = np.fft.ifftshift(sens, axes=(-2, -1))
-    sens_conj = np.conj(sens)
-    mask = np.fft.ifftshift(bits).astype(np.complex128)
-    stack = np.empty_like(sens)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        np.multiply(sens, np.fft.ifftshift(v), out=stack)
-        ksp = np.fft.fft2(stack, norm="ortho", out=stack)
-        ksp *= mask
-        coil = np.fft.ifft2(ksp, norm="ortho")  # allocates: numpy ignores ifft2's out=
-        np.multiply(sens_conj, coil, out=coil)
-        return np.fft.fftshift(coil.sum(axis=0))
 
     return apply
 

@@ -47,7 +47,7 @@ from .calibration import (
     update_delta,
 )
 from .cg import CGConfig, solve_p3
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericError
 from .forward import (
     ForwardOperator,
     add_noise,
@@ -148,11 +148,15 @@ def reconstruct(
 
     The report always carries exactly `steps` records; an early stop only
     freezes the regularization weight, it never truncates the loop.
+    Non-finite k-space or sensitivities raise NumericError naming which.
     """
     started = time.perf_counter()
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.coils, *op.shape):
         raise InvalidArgumentError(f"k-space shape {y.shape} does not match operator")
+    for name, data in (("k-space", y), ("sensitivities", op.sens)):
+        if not np.all(np.isfinite(data)):
+            raise NumericError(f"{name} contains non-finite values")
 
     schedule = build_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
     sigmas = schedule.sigmas
@@ -397,7 +401,7 @@ def trace_columns(report: ReconReport) -> str:
 
 
 def emit_images(report: ReconReport, out_dir: str | os.PathLike) -> None:
-    """Write graymaps (reconstruction, reference, error) and trace columns."""
+    """Write the graymaps: reconstruction, and with a reference also reference and error."""
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     _write_pgm(os.path.join(out_dir, "recon.pgm"), report.final_image)
@@ -406,5 +410,3 @@ def emit_images(report: ReconReport, out_dir: str | os.PathLike) -> None:
         _write_pgm(os.path.join(out_dir, "reference.pgm"), report.reference)
         error = np.abs(np.abs(report.final_image) - np.abs(report.reference))
         _write_pgm(os.path.join(out_dir, "error.pgm"), error, peak=peak)
-    with open(os.path.join(out_dir, "traces.txt"), "w") as fh:
-        fh.write(trace_columns(report))

@@ -16,6 +16,7 @@ dependency is needed.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
@@ -45,8 +46,18 @@ class UNetArch:
     def __post_init__(self):
         if len(self.widths) < 1:
             raise InvalidArgumentError("need at least one encoder level")
-        if self.kernel % 2 != 1:
-            raise InvalidArgumentError("kernel size must be odd")
+        if self.in_channels != 2:
+            raise InvalidArgumentError(f"in_channels must be 2 (re, im), got {self.in_channels}")
+        if min(self.bottleneck, *self.widths) < 1:
+            raise InvalidArgumentError("channel counts must be >= 1")
+        if self.kernel < 1 or self.kernel % 2 != 1:
+            raise InvalidArgumentError("kernel size must be odd and >= 1")
+        if not self.emb_steps >= 1:
+            raise InvalidArgumentError(f"emb_steps must be >= 1, got {self.emb_steps}")
+        if not 0 < self.sigma_min < self.sigma_max < np.inf:  # NaN fails too
+            raise InvalidArgumentError(
+                f"need 0 < sigma_min < sigma_max < inf, got {self.sigma_min}, {self.sigma_max}"
+            )
         if not 0 < self.band_cutoff < 1:
             raise InvalidArgumentError("band_cutoff must lie in (0, 1)")
 
@@ -475,26 +486,26 @@ def load_weights(path: str | os.PathLike) -> UNetWeights:
     if not os.path.exists(desc_path):
         raise FormatError(f"missing architecture descriptor {desc_path}")
     text: dict[str, str] = {}
-    with open(desc_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                text[key] = val
-    try:  # every field is required; its default's type parses it
+    try:  # every field is required; its default's type parses it, UNetArch checks it
+        with open(desc_path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line and "=" in line:
+                    key, val = line.split("=", 1)
+                    text[key] = val
         arch = UNetArch(**{
             f.name: (tuple(int(w) for w in text[f.name].split(","))
                      if isinstance(f.default, tuple) else type(f.default)(text[f.name]))
             for f in fields(UNetArch)
         })
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad architecture descriptor: {exc}") from exc
+    except (KeyError, ValueError) as exc:  # undecodable bytes and InvalidArgumentError alike
+        raise FormatError(f"bad architecture descriptor {desc_path}: {exc}") from exc
 
     flat = read_tensor(path)
     if flat.ndim != 1 or np.iscomplexobj(flat):
         raise FormatError("weight payload must be a rank-1 real tensor")
     shapes = arch.param_shapes()
-    total = sum(int(np.prod(s)) for s in shapes.values())
+    total = sum(math.prod(s) for s in shapes.values())  # exact, whatever the descriptor says
     if flat.size != total:
         raise FormatError(
             f"payload length {flat.size} does not match descriptor total {total}"
@@ -553,6 +564,13 @@ def train_toy_denoiser(
     """
     if not images:
         raise InvalidArgumentError("training set must be nonempty")
+    for name, value in (("lr", lr), ("clip_norm", clip_norm)):
+        if not 0 < value < np.inf:  # NaN fails too
+            raise InvalidArgumentError(f"{name} must be a finite number > 0, got {value}")
+    if batch_size < 1:
+        raise InvalidArgumentError(f"batch_size must be >= 1, got {batch_size}")
+    if epochs < 0:
+        raise InvalidArgumentError(f"epochs must be >= 0, got {epochs}")
     arch = arch or UNetArch()
     weights = init_weights(arch, seed)
     if epochs == 0:

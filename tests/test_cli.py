@@ -362,3 +362,61 @@ def test_train_subcommand_matches_library_training(tmp_path):
                                                          lr=0.3, batch_size=4))
     for suffix in (".bt", ".bt.arch"):
         assert (tmp_path / f"cli{suffix}").read_bytes() == (tmp_path / f"lib{suffix}").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tiny_weights(tmp_path_factory):
+    from mricalib.unet import UNetArch, init_weights, save_weights
+
+    path = tmp_path_factory.mktemp("weights") / "w.bt"
+    save_weights(path, init_weights(UNetArch(widths=(2,), bottleneck=2, emb_steps=3), seed=0))
+    return path
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: b"\xff\xfe" + text.encode(),  # undecodable
+    lambda text: text.replace("sigma_min=0.01", "sigma_min=2.0").encode(),  # above sigma_max
+    lambda text: text.replace("sigma_min=0.01", "sigma_min=nan").encode(),
+    lambda text: text.replace("emb_steps=3", "emb_steps=0").encode(),
+    lambda text: text.replace("in_channels=2", "in_channels=3").encode(),  # not a (re, im) net
+], ids=["undecodable", "sigma_min above sigma_max", "sigma_min nan", "emb_steps 0", "in_channels 3"])
+def test_bad_weight_descriptor_exits_4(tmp_path, capsys, sim16, tiny_weights, damage):
+    weights = tmp_path / "w.bt"
+    weights.write_bytes(tiny_weights.read_bytes())
+    arch = tmp_path / "w.bt.arch"
+    text = (tiny_weights.parent / "w.bt.arch").read_text()
+    arch.write_bytes(damage(text))
+    assert arch.read_bytes() != text.encode()
+    code = _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+        "--sens", str(sim16 / "sens.bt"), "--out-dir", str(tmp_path / "o"), "--steps", "3",
+        "--prior", "unet", "--weights", str(weights),
+    ])
+    assert code == 4
+    assert "architecture descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--batch-size", "0"], ["--epochs", "-1"],
+], ids=lambda extra: " ".join(extra))
+def test_train_bad_number_exits_2(tmp_path, capsys, extra):
+    out = tmp_path / "w.bt"
+    code = _run(["train", "--out", str(out), "--size", "16", "--images", "1", "--epochs", "1",
+                 "--widths", "2", "--bottleneck", "2"] + extra)
+    assert code == 2
+    assert "argument error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, label", [("kspace.bt", "k-space"), ("sens.bt", "sensitivities")])
+def test_non_finite_input_is_named(tmp_path, capsys, sim16, name, label):
+    data = read_tensor(sim16 / name)
+    data[0, 0, 0] = np.nan
+    write_tensor(tmp_path / name, data)
+    files = {n: str(tmp_path / n if n == name else sim16 / n) for n in ("kspace.bt", "sens.bt")}
+    code = _run([
+        "reconstruct", "--kspace", files["kspace.bt"], "--mask", str(sim16 / "mask.bt"),
+        "--sens", files["sens.bt"], "--out-dir", str(tmp_path / "o"), "--steps", "3",
+    ])
+    assert code == 3
+    assert f"numeric error: {label} contains non-finite values" in capsys.readouterr().err

@@ -218,10 +218,6 @@ def _reference_normal(v, op):
     return apply_adjoint(apply_forward(v, op), op)
 
 
-def _path(op):
-    return normal_operator(op).__qualname__.split(".")[0]
-
-
 def _with_bits(bits, coils, seed=0):
     """Operator whose mask claims kind Gaussian1D whatever its bits are."""
     h, w = bits.shape
@@ -229,23 +225,8 @@ def _with_bits(bits, coils, seed=0):
     return ForwardOperator(mask, synth_coil_maps(coils, h, w, seed=seed))
 
 
-def _two_d_operators():
-    ops = []
-    for h, w, coils in [(32, 32, 4), (33, 47, 3), (20, 17, 1)]:
-        sens = synth_coil_maps(coils, h, w, seed=h)
-        ops.append(ForwardOperator(generate_mask("Gaussian2D", h, w, 3, 0.1, seed=w), sens))
-        column = generate_mask("Gaussian1D", h, w, 3, 0.1, seed=w)
-        part = partition_mask(column, 0.4, seed=h)
-        ops += [ForwardOperator(column, sens).with_mask(part.lambda_bits),
-                ForwardOperator(column, sens).with_mask(part.gamma_bits)]
-        flipped = column.bits.copy()
-        flipped[h // 3, 0] ^= 1
-        ops.append(_with_bits(flipped, coils, seed=h))
-        ops.append(ForwardOperator(column, np.abs(sens)).with_mask(part.gamma_bits))  # real64, as read from file
-    return ops
-
-
-def _column_operators():
+def _normal_test_operators():
+    """Column, holdout-child, Gaussian2D and flipped-bit masks on even, odd and non-square grids."""
     ops = []
     for h, w, coils in [(32, 32, 4), (33, 47, 3), (20, 17, 1)]:
         sens = synth_coil_maps(coils, h, w, seed=h)
@@ -253,48 +234,74 @@ def _column_operators():
             ops.append(ForwardOperator(generate_mask(kind, h, w, 3, 0.1, seed=w), sens))
         ops.append(ForwardOperator(generate_mask("Uniform1D", h, w, 1, 0.1), sens))  # full
         ops.append(ForwardOperator(generate_mask("Gaussian1D", h, w, 3, 0.1, seed=h), np.abs(sens)))
+        ops.append(ForwardOperator(generate_mask("Gaussian2D", h, w, 3, 0.1, seed=w), sens))
+        column = generate_mask("Gaussian1D", h, w, 3, 0.1, seed=w)
+        for seed in (h, h + 1, h + 2):
+            for fraction in (0.2, 0.4):
+                part = partition_mask(column, fraction, seed=seed)
+                ops += [ForwardOperator(column, sens).with_mask(part.lambda_bits),
+                        ForwardOperator(column, sens).with_mask(part.gamma_bits)]
+        flipped = column.bits.copy()
+        flipped[h // 3, 0] ^= 1
+        ops.append(_with_bits(flipped, coils, seed=h))
+        ops.append(ForwardOperator(column, np.abs(sens)).with_mask(part.gamma_bits))  # real64, as read from file
     return ops
 
 
-def test_normal_operator_2d_masks_bit_identical():
-    rng = np.random.default_rng(6)
-    for op in _two_d_operators():
-        assert _path(op) == "_shifted_normal"
+def test_normal_operator_matches_reference_within_tolerance():
+    rng = np.random.default_rng(7)
+    for op in _normal_test_operators():
         apply = normal_operator(op)
         for _ in range(2):  # the closure's buffers must not leak between calls
-            v = _rand_image(rng, *op.shape)
-            assert np.array_equal(apply(v).view(np.float64), _reference_normal(v, op).view(np.float64))
-
-
-def test_normal_operator_column_masks_within_tolerance():
-    rng = np.random.default_rng(7)
-    for op in _column_operators():
-        assert _path(op) == "_column_normal"
-        apply = normal_operator(op)
-        for _ in range(2):
             v = _rand_image(rng, *op.shape)
             ref = _reference_normal(v, op)
             assert np.max(np.abs(apply(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _column_arithmetic(v, op):
+    """AᴴA v by readout decoupling alone, in the closure's operand order."""
+    sens = np.asarray(op.sens, dtype=np.complex128)
+    eye = np.eye(sens.shape[-1], dtype=np.complex128)
+    dft = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(eye, axes=0), axis=0, norm="ortho"), axes=0)
+    rows = dft[np.flatnonzero(op.mask.bits[0])]
+    return ((((sens * v) @ rows.T) @ np.conj(rows)) * np.conj(sens)).sum(axis=0)
+
+
+def test_normal_operator_column_masks_within_tolerance():
+    """Column masks skip the H-direction step: bit-identical to plain readout decoupling."""
+    rng = np.random.default_rng(9)
+    column_ops = [op for op in _normal_test_operators() if np.all(op.mask.bits == op.mask.bits[:1])]
+    assert len(column_ops) == 12
+    for op in column_ops:
+        apply = normal_operator(op)
+        for _ in range(2):
+            v = _rand_image(rng, *op.shape)
+            ref = _reference_normal(v, op)
+            out = apply(v)
+            assert np.array_equal(out.view(np.float64), _column_arithmetic(v, op).view(np.float64))
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_solve_p3_column_path_matches_dense_solve():
+    """A column mask and one of its holdout children, against a dense solve."""
     rng = np.random.default_rng(8)
-    op = ForwardOperator(generate_mask("Gaussian1D", 12, 15, 3, 0.1, seed=2),
-                         synth_coil_maps(2, 12, 15, seed=3))
-    assert _path(op) == "_column_normal"
+    column = ForwardOperator(generate_mask("Gaussian1D", 12, 15, 3, 0.1, seed=2),
+                             synth_coil_maps(2, 12, 15, seed=3))
+    child = column.with_mask(partition_mask(column.mask, 0.4, seed=1).gamma_bits)
     gamma = 2.5
-    x_dot = _rand_image(rng, 12, 15)
-    y = apply_forward(_rand_image(rng, 12, 15), op)
     n = 12 * 15
-    dense = np.empty((n, n), dtype=np.complex128)
-    for j in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[j] = 1.0
-        img = e.reshape(12, 15)
-        dense[:, j] = (gamma * _reference_normal(img, op) + img).ravel()
-    expected = np.linalg.solve(dense, (gamma * apply_adjoint(y, op) + x_dot).ravel()).reshape(12, 15)
-    res = solve_p3(x_dot, y, op, gamma, CGConfig(max_iters=100, tol=1e-15))
-    assert np.max(np.abs(res.x - expected)) <= 1e-13 * np.max(np.abs(expected))
+    for op in (column, child):
+        x_dot = _rand_image(rng, 12, 15)
+        y = apply_forward(_rand_image(rng, 12, 15), op)
+        dense = np.empty((n, n), dtype=np.complex128)
+        for j in range(n):
+            e = np.zeros(n, dtype=np.complex128)
+            e[j] = 1.0
+            img = e.reshape(12, 15)
+            dense[:, j] = (gamma * _reference_normal(img, op) + img).ravel()
+        expected = np.linalg.solve(dense, (gamma * apply_adjoint(y, op) + x_dot).ravel()).reshape(12, 15)
+        res = solve_p3(x_dot, y, op, gamma, CGConfig(max_iters=100, tol=1e-15))
+        assert np.max(np.abs(res.x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------------------

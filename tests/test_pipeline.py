@@ -247,7 +247,7 @@ def test_emit_images_outputs(tmp_path):
     cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False)
     _, report = reconstruct(y, op, white_prior(32, 32), cfg, reference=phantom)
     emit_images(report, tmp_path)
-    for name in ("recon.pgm", "reference.pgm", "error.pgm", "traces.txt"):
+    for name in ("recon.pgm", "reference.pgm", "error.pgm"):
         assert (tmp_path / name).exists()
     header = (tmp_path / "recon.pgm").read_bytes().split(b"\n", 3)
     assert header[0] == b"P5"

@@ -226,6 +226,23 @@ def test_empty_dataset_rejected():
         train_toy_denoiser([], epochs=1)
 
 
+@pytest.mark.parametrize("clip_norm", [float("nan"), float("inf"), 0.0])
+def test_bad_clip_norm_rejected(clip_norm):  # the other numbers are checked through the CLI
+    data = [make_phantom(PhantomSpec(size=16, seed=0))]
+    with pytest.raises(InvalidArgumentError):
+        train_toy_denoiser(data, epochs=1, arch=TINY, clip_norm=clip_norm)
+
+
+@pytest.mark.parametrize("bad", [
+    {"emb_steps": 0}, {"sigma_min": 0.0}, {"sigma_min": 2.0}, {"sigma_min": float("nan")},
+    {"sigma_max": float("inf")}, {"sigma_max": float("nan")}, {"widths": (4, 0)},
+    {"bottleneck": 0}, {"kernel": -1}, {"in_channels": 3},
+], ids=lambda bad: repr(bad))
+def test_bad_arch_rejected(bad):
+    with pytest.raises(InvalidArgumentError):
+        UNetArch(**bad)
+
+
 # ---------------------------------------------------------------------------
 # score adapter
 # ---------------------------------------------------------------------------
