@@ -33,12 +33,8 @@ MASK_KINDS = ("Gaussian1D", "Uniform1D", "Gaussian2D")
 
 @dataclass
 class SamplingMask:
-    """Binary k-space selector plus the metadata that generated it."""
+    """Binary k-space selector: which entries were measured, and nothing else."""
 
-    kind: str
-    accel: float
-    acs_fraction: float
-    seed: int
     bits: np.ndarray  # (H, W) uint8 in {0, 1}
 
     @property
@@ -70,11 +66,8 @@ class ForwardOperator:
         return self.mask.shape
 
     def with_mask(self, bits: np.ndarray) -> "ForwardOperator":
-        """Same physics restricted to a different sampled set (e.g. a mask split).
-
-        Only the bits change: the operator reads nothing else of the mask.
-        """
-        return replace(self, mask=replace(self.mask, bits=bits.astype(np.uint8)))
+        """Same physics restricted to a different sampled set (e.g. a mask split)."""
+        return replace(self, mask=SamplingMask(bits.astype(np.uint8)))
 
 
 def _acs_band(n: int, fraction: float) -> tuple[int, int]:
@@ -164,8 +157,7 @@ def generate_mask(
         bits[block] = 1
         bits[rows[pick], cols[pick]] = 1
 
-    return SamplingMask(kind=kind, accel=float(accel), acs_fraction=float(acs_fraction),
-                        seed=int(seed), bits=bits)
+    return SamplingMask(bits)
 
 
 def synth_coil_maps(coils: int, height: int, width: int, seed: int = 0) -> np.ndarray:
@@ -278,61 +270,18 @@ def add_noise(y: np.ndarray, mask: SamplingMask, noise_std: float, seed: int = 0
 
 
 def save_mask(path: str | os.PathLike, mask: SamplingMask) -> None:
-    """Mask bits as a tensor file plus a key=value metadata sidecar."""
+    """Mask bits as a real 0/1 tensor file; the file is the whole mask."""
     write_tensor(path, mask.bits.astype(np.float64))
-    meta = (
-        f"kind={mask.kind}\n"
-        f"accel={mask.accel}\n"
-        f"acs_fraction={mask.acs_fraction}\n"
-        f"seed={mask.seed}\n"
-        f"height={mask.shape[0]}\n"
-        f"width={mask.shape[1]}\n"
-    )
-    with open(f"{os.fspath(path)}.meta", "w") as fh:
-        fh.write(meta)
 
 
 def load_mask(path: str | os.PathLike) -> SamplingMask:
-    """Read a mask written by save_mask; anything malformed raises FormatError.
+    """Read a mask tensor; anything but a real rank-2 tensor of 0s and 1s raises FormatError.
 
-    The sidecar is optional.  When present, its height/width must match the
-    tensor, accel must be a finite number >= 1 and acs_fraction must lie in
-    [0, 1]; a missing accel is derived from the sampled count.
+    A `.meta` file beside it, as older versions wrote, is not read.
     """
     bits = read_tensor(path)
     if bits.ndim != 2:
         raise FormatError(f"mask tensor {os.fspath(path)} must be rank 2, got rank {bits.ndim}")
-    meta = {"kind": "Gaussian2D", "accel": None, "acs_fraction": 0.0, "seed": 0}
-    dims = {}
-    meta_path = f"{os.fspath(path)}.meta"
-    if os.path.exists(meta_path):
-        try:
-            with open(meta_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or "=" not in line:
-                        continue
-                    key, val = line.split("=", 1)
-                    if key in ("accel", "acs_fraction"):
-                        meta[key] = float(val)
-                    elif key == "seed":
-                        meta[key] = int(val)
-                    elif key == "kind":
-                        meta[key] = val
-                    elif key in ("height", "width"):
-                        dims[key] = int(val)
-        except ValueError as exc:  # bad numbers and undecodable bytes alike
-            raise FormatError(f"bad mask sidecar {meta_path}: {exc}") from exc
-        shape = (dims.get("height", bits.shape[0]), dims.get("width", bits.shape[1]))
-        if shape != bits.shape:
-            raise FormatError(f"bad mask sidecar {meta_path}: says {shape}, tensor is {bits.shape}")
-        accel = meta["accel"]
-        if accel is not None and not (np.isfinite(accel) and accel >= 1):
-            raise FormatError(f"bad mask sidecar {meta_path}: accel={accel} is not a finite number >= 1")
-        if not 0 <= meta["acs_fraction"] <= 1:
-            raise FormatError(
-                f"bad mask sidecar {meta_path}: acs_fraction={meta['acs_fraction']} is outside [0, 1]"
-            )
-    if meta["accel"] is None:
-        meta["accel"] = bits.size / max(int(bits.sum()), 1)
-    return SamplingMask(bits=(bits != 0).astype(np.uint8), **meta)
+    if np.iscomplexobj(bits) or not np.all((bits == 0) | (bits == 1)):
+        raise FormatError(f"mask tensor {os.fspath(path)} must hold only real 0s and 1s")
+    return SamplingMask(bits.astype(np.uint8))

@@ -148,7 +148,9 @@ def reconstruct(
 
     The report always carries exactly `steps` records; an early stop only
     freezes the regularization weight, it never truncates the loop.
-    Non-finite k-space or sensitivities raise NumericError naming which.
+    Non-finite k-space or sensitivities raise NumericError naming which,
+    as do sensitivities whose pixelwise sum_c |S_c|^2 exceeds 1 (+1e-6):
+    the operator assumes normalized maps, and maps below 1 stay legal.
     """
     started = time.perf_counter()
     y = np.asarray(y, dtype=np.complex128)
@@ -157,6 +159,9 @@ def reconstruct(
     for name, data in (("k-space", y), ("sensitivities", op.sens)):
         if not np.all(np.isfinite(data)):
             raise NumericError(f"{name} contains non-finite values")
+    sens_power = float(np.max(np.sum(np.abs(op.sens) ** 2, axis=0)))
+    if sens_power > 1 + 1e-6:
+        raise NumericError(f"sensitivities exceed sum_c |S_c|^2 = 1 (max {sens_power:.6g})")
 
     schedule = build_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
     sigmas = schedule.sigmas
@@ -180,8 +185,6 @@ def reconstruct(
             fd_step=cfg.gamma_fd_step,
             window=cfg.window,
             threshold=cfg.tau_reg,
-            eps_scale=cfg.sure_eps_scale,
-            mc_seed=cfg.seed_mc,
         )
 
     if run_fpc:

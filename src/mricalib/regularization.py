@@ -98,8 +98,6 @@ class RegAdaptState:
     fd_step: float = 0.05  # in log space
     window: int = 5
     threshold: float = 0.001
-    eps_scale: float = 1e-3  # perturbation scale relative to max |x|
-    mc_seed: int = 0
     iteration: int = 0
     stopped: bool = False
     loss_history: list[float] = field(default_factory=list)

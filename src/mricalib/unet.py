@@ -277,7 +277,7 @@ def _forward(
     if delta is not None:
         delta = validate_delta(delta, arch.layer_count)
 
-    cache: dict = {"skips": [], "t_idx": t_idx} if want_cache else None
+    cache: dict = {"t_idx": t_idx} if want_cache else None
     h, skips = _encode(x, t_idx, weights, cache)
     for i in reversed(range(arch.layer_count)):
         skip = skips[i]
@@ -289,7 +289,6 @@ def _forward(
     out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], want_cache)
     if want_cache:
         cache["head"] = ch
-        cache["skip_tensors"] = skips
     return out, cache
 
 

@@ -21,8 +21,9 @@ def test_simulate_then_reconstruct(tmp_path):
         "simulate", "--out-dir", str(sim_dir), "--size", "32", "--coils", "2",
         "--accel", "4", "--seed-phantom", "1",
     ]) == 0
-    for name in ("kspace.bt", "sens.bt", "mask.bt", "mask.bt.meta", "reference.bt"):
+    for name in ("kspace.bt", "sens.bt", "mask.bt", "reference.bt"):
         assert (sim_dir / name).exists()
+    assert not (sim_dir / "mask.bt.meta").exists()
 
     out_dir = tmp_path / "rec"
     assert _run([
@@ -84,19 +85,6 @@ def test_overflowing_tensor_header_exits_4(tmp_path):
     assert code == 4
 
 
-def test_bad_mask_sidecar_exits_4(tmp_path, capsys):
-    sim_dir = tmp_path / "sim"
-    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])
-    meta = sim_dir / "mask.bt.meta"
-    meta.write_text(meta.read_text().replace("accel=", "accel=abc", 1))
-    code = _run([
-        "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
-        "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(tmp_path / "o"),
-    ])
-    assert code == 4
-    assert "mask sidecar" in capsys.readouterr().err
-
-
 def _reconstruct_sim(sim_dir, out_dir):
     return _run([
         "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
@@ -113,22 +101,38 @@ def test_rank_one_mask_exits_4(tmp_path, capsys):
     assert "rank 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("height=16", "height=15"),
-    ("width=16", "width=32"),
-    ("accel=4.0", "accel=-5"),
-    ("accel=4.0", "accel=nan"),
-    ("accel=4.0", "accel=inf"),
-    ("acs_fraction=0.08", "acs_fraction=1.5"),
-])
-def test_inconsistent_mask_sidecar_exits_4(tmp_path, capsys, old, new):
-    sim_dir = tmp_path / "sim"
-    _run(["simulate", "--out-dir", str(sim_dir), "--size", "16", "--coils", "1"])
-    meta = sim_dir / "mask.bt.meta"
-    assert old in meta.read_text()
-    meta.write_text(meta.read_text().replace(old, new, 1))
-    assert _reconstruct_sim(sim_dir, tmp_path / "o") == 4
-    assert "mask sidecar" in capsys.readouterr().err
+@pytest.mark.parametrize("value", [np.nan, 0.5, 2.0, 1j], ids=["nan", "half", "two", "complex"])
+def test_mask_values_other_than_0_and_1_exit_4(tmp_path, capsys, sim16, value):
+    """A mask is a real 0/1 tensor; any other entry is a format error, never a sampled entry."""
+    bits = read_tensor(sim16 / "mask.bt")
+    if value == 1j:
+        bits = bits.astype(np.complex128)  # the same 0/1 pattern, stored complex
+    else:
+        bits[0, 0] = value
+    write_tensor(tmp_path / "mask.bt", bits)
+    code = _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(tmp_path / "mask.bt"),
+        "--sens", str(sim16 / "sens.bt"), "--out-dir", str(tmp_path / "o"), "--steps", "3",
+    ])
+    assert code == 4
+    assert "real 0s and 1s" in capsys.readouterr().err
+
+
+def test_stale_mask_meta_is_ignored(tmp_path, sim16):
+    """A garbage mask.bt.meta next to a valid mask changes nothing: the tensor is the whole mask."""
+    recons = []
+    for name, meta in (("plain", None), ("meta", b"\xff\xfeaccel=abc\nheight=3\nwidth=nan\n")):
+        case_dir = tmp_path / name
+        case_dir.mkdir()
+        (case_dir / "mask.bt").write_bytes((sim16 / "mask.bt").read_bytes())
+        if meta is not None:
+            (case_dir / "mask.bt.meta").write_bytes(meta)
+        assert _run([
+            "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(case_dir / "mask.bt"),
+            "--sens", str(sim16 / "sens.bt"), "--out-dir", str(case_dir / "o"), "--steps", "3",
+        ]) == 0
+        recons.append((case_dir / "o" / "recon.bt").read_bytes())
+    assert recons[0] == recons[1]
 
 
 def test_reconstruct_with_real_sensitivities(tmp_path):
@@ -420,3 +424,14 @@ def test_non_finite_input_is_named(tmp_path, capsys, sim16, name, label):
     ])
     assert code == 3
     assert f"numeric error: {label} contains non-finite values" in capsys.readouterr().err
+
+
+def test_oversized_sensitivities_exit_3(tmp_path, capsys, sim16):
+    """Maps scaled x10 break sum_c |S_c|^2 = 1, which the operator assumes."""
+    write_tensor(tmp_path / "sens.bt", 10 * read_tensor(sim16 / "sens.bt"))
+    code = _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+        "--sens", str(tmp_path / "sens.bt"), "--out-dir", str(tmp_path / "o"), "--steps", "3",
+    ])
+    assert code == 3
+    assert "numeric error: sensitivities exceed" in capsys.readouterr().err
