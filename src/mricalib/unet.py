@@ -8,6 +8,14 @@ keeps DFT coefficients inside a radius `band_cutoff` * Nyquist; the
 all-ones calibration vector reproduces the uncalibrated network (the
 high band is formed by subtraction, so the band partition is exact).
 
+With a calibration vector, each decoder level's first conv is split by
+linearity into an up term and two skip-band terms, which the score
+adapter reuses across calibration probes.  The sum of the split terms
+rounds differently from the conv of the joined channels, within 1e-13
+relative; without a calibration vector (training, uncalibrated runs) the
+decoder convolves the joined channels.  Each conv is one GEMM per sample
+whose tap outputs are added shifted, bit-identical to one GEMM per tap.
+
 Everything is plain float64 numpy.  Training is denoising score matching
 with hand-derived convolution gradients and plain SGD — the adaptation
 machinery never differentiates through the network, so no autodiff
@@ -124,36 +132,63 @@ def init_weights(arch: UNetArch, seed: int = 0) -> UNetWeights:
 # ---------------------------------------------------------------------------
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, want_cache: bool):
-    """Same-padded 2-D convolution as one GEMM per kernel tap.  x: (B, Cin, H, W)."""
+def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, want_cache: bool):
+    """Same-padded 2-D convolution, one GEMM per sample.  x: (B, Cin, H, W).
+
+    The GEMM multiplies every tap's (Cout, Cin) kernel slice with the
+    whole padded sample at once; the k² tap outputs are then added, shifted,
+    into a zeroed accumulator in row-major tap order, and the bias last.
+    Each output is therefore the same sum, in the same order, as one GEMM
+    per tap over shifted input windows, so the result is bit-identical to
+    that form.  `b` None skips the bias.
+    """
     B, Cin, H, W = x.shape
     Cout, _, k, _ = w.shape
     p = k // 2
-    xp = np.zeros((B, Cin, H + 2 * p, W + 2 * p))
+    Hp, Wp = H + 2 * p, W + 2 * p
+    xp = np.zeros((B, Cin, Hp, Wp))
     xp[:, :, p : p + H, p : p + W] = x
-    acc = np.zeros((Cout, B, H, W))
-    for i in range(k):
-        for j in range(k):
-            acc += np.tensordot(w[:, :, i, j], xp[:, :, i : i + H, j : j + W], axes=(1, 1))
-    y = acc.transpose(1, 0, 2, 3) + b[None, :, None, None]
+    taps_w = w.transpose(2, 3, 0, 1).reshape(k * k * Cout, Cin)
+    y = np.zeros((B, Cout, H, W))
+    for n in range(B):
+        taps = (taps_w @ xp[n].reshape(Cin, Hp * Wp)).reshape(k, k, Cout, Hp, Wp)
+        for i in range(k):
+            for j in range(k):
+                y[n] += taps[i, j, :, i : i + H, j : j + W]
+    if b is not None:
+        y += b[None, :, None, None]
     cache = (xp, x.shape, w) if want_cache else None
     return y, cache
 
 
 def _conv2d_bwd(dy: np.ndarray, cache):
+    """Input, kernel and bias gradients of `_conv2d`.
+
+    The input gradient runs one GEMM per sample and kernel row, (k·Cin, Cout)
+    by the sample's output gradient, and adds the tap results, shifted, into
+    the padded grid in row-major tap order: the same sums in the same order
+    as one GEMM per tap.  A GEMM per kernel row keeps the tap buffer at
+    k·Cin·H·W; one per sample would hold k²·Cin·H·W, 7 MB at the widest
+    decoder conv of a 64² training batch, which raised training's peak
+    memory by 10 %.
+    """
     xp, x_shape, w = cache
     B, Cin, H, W = x_shape
     Cout, _, k, _ = w.shape
     p = k // 2
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
     for i in range(k):
         for j in range(k):
             patch = xp[:, :, i : i + H, j : j + W]
             dw[:, :, i, j] = np.tensordot(dy, patch, axes=([0, 2, 3], [0, 2, 3]))
-            dxp[:, :, i : i + H, j : j + W] += np.tensordot(
-                w[:, :, i, j], dy, axes=(0, 1)
-            ).transpose(1, 0, 2, 3)
+    row_wt = w.transpose(2, 3, 1, 0).reshape(k, k * Cin, Cout)
+    dxp = np.zeros_like(xp)
+    for n in range(B):
+        dy_n = dy[n].reshape(Cout, H * W)
+        for i in range(k):
+            taps = (row_wt[i] @ dy_n).reshape(k, Cin, H, W)
+            for j in range(k):
+                dxp[n, :, i : i + H, j : j + W] += taps[j]
     db = dy.sum(axis=(0, 2, 3))
     return dxp[:, :, p : p + H, p : p + W], dw, db
 
@@ -249,7 +284,7 @@ def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict 
 
 def _decode_level(i: int, h: np.ndarray, skip: np.ndarray, weights: UNetWeights,
                   cache: dict | None = None) -> np.ndarray:
-    """Decoder level i: upsample h, join the (already modulated) skip, two conv + ReLU."""
+    """Uncalibrated decoder level i: upsample h, join the raw skip, two conv + ReLU."""
     P = weights.params
     want_cache = cache is not None
     up = _up2(h)
@@ -263,6 +298,43 @@ def _decode_level(i: int, h: np.ndarray, skip: np.ndarray, weights: UNetWeights,
     return h
 
 
+# A calibrated decoder level splits its first conv by linearity over the
+# joined channels [up, alpha*LOW + beta*HIGH]:
+#   conv(...) + b = (conv_up(up) + b) + alpha*conv_skip(LOW) + beta*conv_skip(HIGH)
+# with conv_up, conv_skip the kernel slices over the up and skip channels.
+# The up term depends on the deeper calibration entries only and the skip
+# terms on none, so a probe that moves (alpha_l, beta_l) can reuse both.
+
+
+def _up_term(i: int, h: np.ndarray, weights: UNetWeights) -> np.ndarray:
+    """conv_up(up2(h)) + b of decoder level i."""
+    P = weights.params
+    return _conv2d(_up2(h), P[f"dec{i}.c1.w"][:, : h.shape[1]], P[f"dec{i}.c1.b"], False)[0]
+
+
+def _skip_terms(i: int, skip: np.ndarray, weights: UNetWeights) -> tuple[np.ndarray, np.ndarray]:
+    """conv_skip(LOW) and conv_skip(HIGH) of decoder level i's raw skip, without bias."""
+    w = weights.params[f"dec{i}.c1.w"]
+    w_skip = w[:, w.shape[1] - skip.shape[1] :]
+    low = low_band(skip, weights.arch.band_cutoff)
+    return _conv2d(low, w_skip, None, False)[0], _conv2d(skip - low, w_skip, None, False)[0]
+
+
+def _decode_split(i: int, up_term: np.ndarray, skip_terms: tuple[np.ndarray, np.ndarray],
+                  delta: np.ndarray, weights: UNetWeights) -> np.ndarray:
+    """Calibrated decoder level i from its split first conv, then ReLU, conv, ReLU.
+
+    `_forward` and the score adapter's memo both sum the terms here, so a
+    memoised output matches a fresh forward to the last bit.
+    """
+    P = weights.params
+    low_term, high_term = skip_terms
+    # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1]
+    h, _ = _relu(up_term + delta[2 * i] * low_term + delta[2 * i + 1] * high_term, False)
+    h, _ = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)
+    return _relu(h, False)[0]
+
+
 def _forward(
     x: np.ndarray,
     t_idx: np.ndarray,
@@ -270,7 +342,11 @@ def _forward(
     weights: UNetWeights,
     want_cache: bool = False,
 ):
-    """x: (B, in_channels, H, W); t_idx: (B,) int.  Returns (out, cache)."""
+    """x: (B, in_channels, H, W); t_idx: (B,) int.  Returns (out, cache).
+
+    With a calibration vector the decoder runs the split first conv and
+    fills no backward cache for its levels; `_backward` needs `delta` None.
+    """
     arch = weights.arch
     t_idx = np.asarray(t_idx, dtype=np.int64)
     _check_input(x.shape, t_idx, arch)
@@ -280,11 +356,11 @@ def _forward(
     cache: dict = {"t_idx": t_idx} if want_cache else None
     h, skips = _encode(x, t_idx, weights, cache)
     for i in reversed(range(arch.layer_count)):
-        skip = skips[i]
-        if delta is not None:
-            # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1]
-            skip = modulate_bands(skip, delta[2 * i], delta[2 * i + 1], arch.band_cutoff)
-        h = _decode_level(i, h, skip, weights, cache)
+        if delta is None:
+            h = _decode_level(i, h, skips[i], weights, cache)
+        else:
+            up = _up_term(i, h, weights)
+            h = _decode_split(i, up, _skip_terms(i, skips[i], weights), delta, weights)
 
     out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], want_cache)
     if want_cache:
@@ -351,13 +427,13 @@ def unet_forward(
 
 @dataclass
 class _EncoderState:
-    """What one input shares across calibration vectors: encoder and bottleneck outputs."""
+    """What one input shares across calibration vectors: encoder outputs and split-conv terms."""
 
     key: tuple  # (input shape, input bytes, noise index)
     h: np.ndarray  # bottleneck output
     skips: list[np.ndarray]
-    lows: list[np.ndarray | None]  # low band of each skip, made on first calibrated use
-    levels: dict[int, tuple] = field(default_factory=dict)  # level i >= 1 -> (delta[2i:] key, output)
+    skip_terms: list[tuple | None]  # each level's _skip_terms, made on first calibrated use
+    ups: dict[int, tuple] = field(default_factory=dict)  # level i -> (delta[2(i+1):] key, _up_term)
 
 
 class UNetScorePrior(ScorePrior):
@@ -368,23 +444,32 @@ class UNetScorePrior(ScorePrior):
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
     Evaluations reuse earlier work whose inputs are bit for bit the same,
-    so every output equals a fresh `unet_forward` to the last bit:
+    and run the same arithmetic as `unet_forward`, so every output equals a
+    fresh `unet_forward` to the last bit:
 
-    - the encoder and bottleneck outputs, and the low band of each skip,
-      of the most recent (input bytes, noise index); the calibration
-      probes around one iterate then share one encoder pass;
-    - for that input, the output of each decoder level below the
-      shallowest, keyed on the calibration entries of that level and the
-      deeper ones (delta[2i:]); a probe that perturbs level 0 re-runs only
-      decoder level 0 and the head;
+    - the encoder and bottleneck outputs of the most recent (input bytes,
+      noise index); the calibration probes around one iterate then share
+      one encoder pass;
+    - for that input, the two skip terms of each calibrated decoder
+      level's split first conv, conv_skip(LOW) and conv_skip(HIGH);
+    - for that input, each level's up term conv_up(up) + b, keyed on the
+      calibration entries of the deeper levels (delta[2(i+1):]); a probe
+      that moves (alpha_l, beta_l) costs two scaled adds at level l, then
+      the rest of level l and the full levels below it;
     - the last `OUTPUTS_KEPT` network outputs, keyed on (input bytes,
       noise index, calibration vector); repeated evaluations, such as the
       risk probes at the iterate the main step already denoised, are free.
 
-    The memory this holds is bounded by one set of encoder activations
-    plus `OUTPUTS_KEPT` images and their keys.  The wrapped weights are
-    treated as frozen: mutating `weights.params` after an evaluation
-    leaves stale entries behind, so build a new prior instead.
+    A calibrated level sums the split terms where the uncalibrated network
+    convolves the joined channels, so a calibrated output differs from the
+    concatenated form (modulate_bands, join, one conv) by rounding only,
+    within 1e-13 relative; `delta` None runs the concatenated form itself.
+
+    The memory this holds is bounded by one set of encoder activations and
+    three first-conv outputs per level, plus `OUTPUTS_KEPT` images and
+    their keys.  The wrapped weights are treated as frozen: mutating
+    `weights.params` after an evaluation leaves stale entries behind, so
+    build a new prior instead.
     """
 
     OUTPUTS_KEPT = 4
@@ -402,6 +487,8 @@ class UNetScorePrior(ScorePrior):
 
     def evaluate(self, x, sigma, delta=None):
         x = np.asarray(x, dtype=np.complex128)
+        if not np.isfinite(sigma):
+            raise InvalidArgumentError(f"sigma must be finite, got {sigma}")
         if sigma <= 0:
             return np.zeros_like(x)
         idx = int(np.argmin(np.abs(self._sigmas - sigma)))
@@ -433,26 +520,30 @@ class UNetScorePrior(ScorePrior):
             h, skips = _encode(x2, t_idx, self.weights)
             enc = self._encoded = _EncoderState(in_key, h, skips, [None] * L)
 
-        def level_key(i):
-            return None if delta is None else delta[2 * i :].tobytes()
+        h = enc.h
+        if delta is None:
+            for i in reversed(range(L)):
+                h = _decode_level(i, h, enc.skips[i], self.weights)
+        else:
+            def up_key(i):
+                return delta[2 * (i + 1) :].tobytes()
 
-        start, h = L, enc.h
-        for i in range(1, L):
-            held = enc.levels.get(i)
-            if held is not None and held[0] == level_key(i):
-                start, h = i, held[1]
-                break
-        for i in reversed(range(start)):
-            skip = enc.skips[i]
-            if delta is not None:
-                if enc.lows[i] is None:
-                    enc.lows[i] = low_band(skip, arch.band_cutoff)
-                low = enc.lows[i]
-                # same arithmetic as modulate_bands, with the low band computed once
-                skip = delta[2 * i] * low + delta[2 * i + 1] * (skip - low)
-            h = _decode_level(i, h, skip, self.weights)
-            if i > 0:
-                enc.levels[i] = (level_key(i), h)
+            # start at the shallowest level whose up term is still valid;
+            # the deeper levels only fed that term
+            start, up = L - 1, None
+            for i in range(L):
+                held = enc.ups.get(i)
+                if held is not None and held[0] == up_key(i):
+                    start, up = i, held[1]
+                    break
+            for i in reversed(range(start + 1)):
+                if up is None:
+                    up = _up_term(i, h, self.weights)
+                    enc.ups[i] = (up_key(i), up)
+                if enc.skip_terms[i] is None:
+                    enc.skip_terms[i] = _skip_terms(i, enc.skips[i], self.weights)
+                h = _decode_split(i, up, enc.skip_terms[i], delta, self.weights)
+                up = None
 
         P = self.weights.params
         head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
@@ -530,6 +621,10 @@ def dsm_loss(
     draws_per_image: int = 4,
 ) -> float:
     """Mean squared noise-prediction error over seeded (image, level) draws."""
+    if not images:
+        raise InvalidArgumentError("held-out set must be nonempty")
+    if draws_per_image < 1:
+        raise InvalidArgumentError(f"draws_per_image must be >= 1, got {draws_per_image}")
     arch = weights.arch
     sigmas = arch.sigma_ladder().sigmas
     rng = np.random.default_rng(seed)

@@ -17,9 +17,10 @@ from mricalib import (
 )
 from mricalib.errors import FormatError, InvalidArgumentError
 from mricalib.phantom import PhantomSpec, make_phantom
-from mricalib.unet import _backward, _forward
+from mricalib.unet import _backward, _conv2d, _conv2d_bwd, _forward
 
 TINY = UNetArch(widths=(3, 4), bottleneck=5, emb_steps=6)
+C8 = UNetArch(widths=(8, 16), bottleneck=32, emb_steps=25)  # the acceptance-test prior
 
 
 def _rand_image(rng, n=16):
@@ -69,6 +70,81 @@ def test_low_band_scaling_quadruples_energy():
 
 
 # ---------------------------------------------------------------------------
+# convolution: the one-GEMM form against one GEMM per tap
+# ---------------------------------------------------------------------------
+
+
+def _ref_conv2d(x, w, b):
+    """Same-padded convolution as one GEMM per kernel tap over shifted input windows."""
+    B, Cin, H, W = x.shape
+    Cout, _, k, _ = w.shape
+    p = k // 2
+    xp = np.zeros((B, Cin, H + 2 * p, W + 2 * p))
+    xp[:, :, p : p + H, p : p + W] = x
+    acc = np.zeros((Cout, B, H, W))
+    for i in range(k):
+        for j in range(k):
+            acc += np.tensordot(w[:, :, i, j], xp[:, :, i : i + H, j : j + W], axes=(1, 1))
+    return acc.transpose(1, 0, 2, 3) + b[None, :, None, None], xp
+
+
+def _ref_conv2d_bwd(dy, xp, w):
+    B, Cout, H, W = dy.shape
+    k = w.shape[2]
+    p = k // 2
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i : i + H, j : j + W]
+            dw[:, :, i, j] = np.tensordot(dy, patch, axes=([0, 2, 3], [0, 2, 3]))
+            dxp[:, :, i : i + H, j : j + W] += np.tensordot(
+                w[:, :, i, j], dy, axes=(0, 1)
+            ).transpose(1, 0, 2, 3)
+    return dxp[:, :, p : p + H, p : p + W], dw, dy.sum(axis=(0, 2, 3))
+
+
+def _c8_conv_shapes(size=64):
+    """(Cin, Cout, side) of every conv the acceptance prior runs, split decoder slices included."""
+    shapes = set()
+    for name, shape in C8.param_shapes().items():
+        if not name.endswith(".w"):
+            continue
+        cout, cin = shape[:2]
+        level = name.split(".")[0]
+        depth = C8.layer_count if level == "bot" else 0 if level == "head" else int(level[3:])
+        shapes.add((cin, cout, size >> depth))
+        if level.startswith("dec") and name.endswith("c1.w"):
+            skip = C8.widths[depth]
+            shapes |= {(cin - skip, cout, size >> depth), (skip, cout, size >> depth)}
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("cin,cout,side", _c8_conv_shapes())
+def test_conv_matches_per_tap_reference_on_prior_shapes(cin, cout, side, batch):
+    _check_conv_bit_identical(batch, cin, cout, side, side, 3)
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_conv_matches_per_tap_reference_non_square(kernel):
+    _check_conv_bit_identical(3, 4, 5, 12, 20, kernel)
+
+
+def _check_conv_bit_identical(batch, cin, cout, height, width, kernel):
+    rng = np.random.default_rng(cin * 1000 + cout * 10 + kernel)
+    x = rng.standard_normal((batch, cin, height, width))
+    w = rng.standard_normal((cout, cin, kernel, kernel))
+    b = rng.standard_normal(cout)
+    y_ref, xp = _ref_conv2d(x, w, b)
+    y, cache = _conv2d(x, w, b, True)
+    assert np.array_equal(y, y_ref)
+    dy = rng.standard_normal(y.shape)
+    for got, want in zip(_conv2d_bwd(dy, cache), _ref_conv2d_bwd(dy, xp, w)):
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # forward contracts
 # ---------------------------------------------------------------------------
 
@@ -114,6 +190,59 @@ def test_embedding_index_changes_output():
     a = unet_forward(x, 0, None, w)
     b = unet_forward(x, 5, None, w)
     assert np.max(np.abs(a - b)) > 1e-8
+
+
+def _reference_forward(x, t, delta, weights):
+    """unet_forward in its concatenated form: modulate_bands, join, per-tap conv."""
+    arch, P = weights.arch, weights.params
+
+    def conv_relu(h, name):
+        return np.maximum(_ref_conv2d(h, P[f"{name}.w"], P[f"{name}.b"])[0], 0.0)
+
+    sigma = arch.sigma_ladder().sigmas[[t]]
+    h = np.stack([x.real, x.imag])[None] / np.sqrt(1.0 + sigma**2)[:, None, None, None]
+    skips = []
+    for i in range(arch.layer_count):
+        h = conv_relu(conv_relu(h, f"enc{i}.c1"), f"enc{i}.c2")
+        skips.append(h)
+        B, C, H, W = h.shape
+        h = h.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
+    h = _ref_conv2d(h, P["bot.c1.w"], P["bot.c1.b"])[0] + P["emb"][[t]][:, :, None, None]
+    h = conv_relu(np.maximum(h, 0.0), "bot.c2")
+    for i in reversed(range(arch.layer_count)):
+        skip = skips[i]
+        if delta is not None:
+            skip = modulate_bands(skip, delta[2 * i], delta[2 * i + 1], arch.band_cutoff)
+        up = np.repeat(np.repeat(h, 2, axis=2), 2, axis=3)
+        h = conv_relu(conv_relu(np.concatenate([up, skip], axis=1), f"dec{i}.c1"), f"dec{i}.c2")
+    out = _ref_conv2d(h, P["head.w"], P["head.b"])[0]
+    return out[0, 0] + 1j * out[0, 1]
+
+
+def test_split_decoder_matches_concatenated_form():
+    """Calibrated outputs agree with the concatenated form to 1e-13; delta None is that form."""
+    rng = np.random.default_rng(13)
+    arch = UNetArch(widths=(3, 4, 4), bottleneck=5, emb_steps=6)
+    w = init_weights(arch, seed=14)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    x = _rand_image(rng)
+    sigma = float(arch.sigma_ladder().sigmas[2])
+    prior = UNetScorePrior(w)
+
+    assert np.array_equal(unet_forward(x, 2, None, w), _reference_forward(x, 2, None, w))
+
+    base = np.array([1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
+    probes = [base, np.zeros(6), np.full(6, 2.0), np.ones(6)]
+    for j in range(base.size):  # central-difference probes of every level's (alpha, beta)
+        for step in (0.01, -0.01):
+            probe = base.copy()
+            probe[j] += step
+            probes.append(probe)
+    for delta in probes:
+        want = _reference_forward(x, 2, delta, w)
+        got = unet_forward(x, 2, delta, w)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), delta
+        assert np.array_equal(prior.evaluate(x, sigma, delta), -got / sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +355,14 @@ def test_empty_dataset_rejected():
         train_toy_denoiser([], epochs=1)
 
 
+def test_dsm_loss_needs_draws():
+    w = init_weights(TINY)
+    images = [make_phantom(PhantomSpec(size=16, seed=0))]
+    for held, draws in (([], 4), (images, 0), (images, -1)):
+        with pytest.raises(InvalidArgumentError):
+            dsm_loss(w, held, draws_per_image=draws)
+
+
 @pytest.mark.parametrize("clip_norm", [float("nan"), float("inf"), 0.0])
 def test_bad_clip_norm_rejected(clip_norm):  # the other numbers are checked through the CLI
     data = [make_phantom(PhantomSpec(size=16, seed=0))]
@@ -269,6 +406,20 @@ def test_uncalibratable_adapter_ignores_delta():
     a = prior.evaluate(x, 0.5, None)
     b = prior.evaluate(x, 0.5, np.array([0.0, 2.0, 0.5, 1.5]))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+def test_prior_rejects_non_finite_sigma(sigma):
+    prior = UNetScorePrior(init_weights(TINY, seed=1))
+    with pytest.raises(InvalidArgumentError):
+        prior.evaluate(np.zeros((16, 16), complex), sigma, np.ones(4))
+
+
+def test_prior_score_is_zero_at_non_positive_sigma():
+    prior = UNetScorePrior(init_weights(TINY, seed=1))
+    x = _rand_image(np.random.default_rng(10))
+    for sigma in (0.0, -0.5):
+        assert np.array_equal(prior.evaluate(x, sigma, np.ones(4)), np.zeros_like(x))
 
 
 def test_memoized_evaluate_matches_fresh_forward():
