@@ -169,6 +169,10 @@ def reconstruct(
     delta = validate_delta(np.full(2 * layer_count, cfg.delta_init), layer_count)
 
     run_fpc = cfg.enable_fpc and layer_count > 0
+    # A vector that never leaves the identity reaches the prior as None, so a
+    # network prior convolves its joined skips instead of summing the split
+    # first-conv terms that only repeated-input calibration probes reuse.
+    passes_delta = run_fpc or not np.all(delta == 1.0)
     delta_state = DeltaOptState(
         delta=delta,
         step_size=cfg.delta_step,
@@ -216,7 +220,8 @@ def reconstruct(
             x_lambda_hat = one_step_recon(x_lambda, sigma, prior, delta_state.delta,
                                           y_l, op_l, gamma, cfg.cg)
 
-        x_dot = tweedie_denoise(x, sigma, prior, delta_state.delta if layer_count else None)
+        step_delta = delta_state.delta if passes_delta else None
+        x_dot = tweedie_denoise(x, sigma, prior, step_delta)
         p3 = solve_p3(x_dot, y, op, gamma, cfg.cg)
         x_hat = p3.x
 
@@ -225,12 +230,8 @@ def reconstruct(
         if cfg.enable_rpa and not reg_state.stopped:
             eps = max(cfg.sure_eps_scale * float(np.max(np.abs(x))), 1e-12)
 
-            def composite(g, v, _sigma=sigma):
-                return one_step_recon(
-                    v, _sigma, prior,
-                    delta_state.delta if layer_count else None,
-                    y, op, g, cfg.cg,
-                )
+            def composite(g, v, _sigma=sigma, _d=step_delta):
+                return one_step_recon(v, _sigma, prior, _d, y, op, g, cfg.cg)
 
             def loss_fn(g, _sigma=sigma, _eps=eps, _t=t):
                 return sure_loss(

@@ -13,8 +13,11 @@ linearity into an up term and two skip-band terms, which the score
 adapter reuses across calibration probes.  The sum of the split terms
 rounds differently from the conv of the joined channels, within 1e-13
 relative; without a calibration vector (training, uncalibrated runs) the
-decoder convolves the joined channels.  Each conv is one GEMM per sample
-whose tap outputs are added shifted, bit-identical to one GEMM per tap.
+decoder convolves the joined channels.  The split saves work only when
+probes repeat an input: for an input evaluated once it convolves the
+skip channels twice, so a run that never calibrates passes no vector
+rather than the all-ones one.  Each conv is one GEMM per sample whose
+tap outputs are added shifted, bit-identical to one GEMM per tap.
 
 Everything is plain float64 numpy.  Training is denoising score matching
 with hand-derived convolution gradients and plain SGD — the adaptation
@@ -344,13 +347,15 @@ def _forward(
 ):
     """x: (B, in_channels, H, W); t_idx: (B,) int.  Returns (out, cache).
 
-    With a calibration vector the decoder runs the split first conv and
-    fills no backward cache for its levels; `_backward` needs `delta` None.
+    With a calibration vector the decoder runs the split first conv, which
+    fills no backward cache, so `want_cache` needs `delta` None.
     """
     arch = weights.arch
     t_idx = np.asarray(t_idx, dtype=np.int64)
     _check_input(x.shape, t_idx, arch)
     if delta is not None:
+        if want_cache:
+            raise InvalidArgumentError("the backward cache needs delta None")
         delta = validate_delta(delta, arch.layer_count)
 
     cache: dict = {"t_idx": t_idx} if want_cache else None
@@ -464,6 +469,8 @@ class UNetScorePrior(ScorePrior):
     convolves the joined channels, so a calibrated output differs from the
     concatenated form (modulate_bands, join, one conv) by rounding only,
     within 1e-13 relative; `delta` None runs the concatenated form itself.
+    Only probes that repeat an input reuse split terms; an input evaluated
+    once, such as the main denoise or a risk probe, pays for both.
 
     The memory this holds is bounded by one set of encoder activations and
     three first-conv outputs per level, plus `OUTPUTS_KEPT` images and

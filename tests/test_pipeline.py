@@ -70,6 +70,41 @@ def test_toggles_freeze_their_parameters():
         assert rec.loss_ssl is None and rec.loss_reg is None
 
 
+class _DeltaLog(ScorePrior):
+    """Unit white-noise score that records every calibration vector it is given."""
+
+    layer_count = 2
+
+    def __init__(self):
+        self.seen = []
+
+    def evaluate(self, x, sigma, delta=None):
+        self.seen.append(None if delta is None else delta.copy())
+        return -x / (1.0 + sigma**2)
+
+
+@pytest.mark.parametrize("delta_init", [1.0, 0.5])
+def test_frozen_vector_reaches_prior_as_none_only_at_identity(delta_init):
+    phantom, op, y = _problem(seed=19)
+    prior = _DeltaLog()
+    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True, delta_init=delta_init)
+    reconstruct(y, op, prior, cfg)
+    assert len(prior.seen) > cfg.steps  # the main denoise and the risk probes
+    for d in prior.seen:
+        if delta_init == 1.0:
+            assert d is None
+        else:
+            assert np.array_equal(d, np.full(4, delta_init))
+
+
+def test_calibration_off_runs_the_uncalibrated_network():
+    phantom, op, y = _problem(seed=20)
+    weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=7)
+    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True, delta_init=1.0)
+    x_cal, _ = reconstruct(y, op, UNetScorePrior(weights, calibratable=True), cfg)
+    x_raw, _ = reconstruct(y, op, UNetScorePrior(weights, calibratable=False), cfg)
+    assert x_cal.tobytes() == x_raw.tobytes()
+
 def test_fpc_updates_delta_and_logs_loss():
     phantom, op, y = _problem(seed=6)
     arch = UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8)

@@ -175,6 +175,14 @@ def test_bad_delta_rejected():
         unet_forward(np.zeros((16, 16), complex), 0, np.array([1.0, 3.0, 1.0, 1.0]), w)
 
 
+def test_backward_cache_needs_uncalibrated_forward():
+    w = init_weights(TINY, seed=1)
+    x2 = np.zeros((1, 2, 16, 16))
+    with pytest.raises(InvalidArgumentError):
+        _forward(x2, np.array([0]), np.ones(4), w, want_cache=True)
+    _, cache = _forward(x2, np.array([0]), None, w, want_cache=True)
+    assert "dec0" in cache and "dec1" in cache
+
 def test_indivisible_size_rejected():
     w = init_weights(TINY, seed=1)
     with pytest.raises(InvalidArgumentError):
