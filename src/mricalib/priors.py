@@ -60,8 +60,8 @@ class GaussianPrior(ScorePrior):
 
 def gaussian_score(x: np.ndarray, sigma: float, prior: GaussianPrior) -> np.ndarray:
     """Closed-form score of the sigma-smoothed density: -(Sigma + sigma^2 I)^(-1) (x - mean)."""
-    if sigma < 0:
-        raise InvalidArgumentError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:  # NaN fails too
+        raise InvalidArgumentError(f"sigma must be finite and >= 0, got {sigma}")
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != prior.mean.shape:
         raise InvalidArgumentError(f"x shape {x.shape} does not match prior {prior.mean.shape}")
@@ -92,6 +92,6 @@ def validate_delta(delta: np.ndarray, layer_count: int | None = None) -> np.ndar
         raise InvalidArgumentError(
             f"calibration vector length {delta.size} != 2 * {layer_count} layers"
         )
-    if np.any(delta < 0) or np.any(delta > 2):
+    if not np.all((0 <= delta) & (delta <= 2)):  # NaN fails too
         raise InvalidArgumentError("calibration entries must lie in [0, 2]")
     return delta

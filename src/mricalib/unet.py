@@ -4,20 +4,16 @@ The network maps a 2-channel (re, im) field to a 2-channel noise estimate
 and is conditioned on a discrete noise-level index through a learned
 per-channel bias table at the bottleneck.  Each skip feature F_l can be
 recomposed as  alpha_l * LOW(F_l) + beta_l * (F_l - LOW(F_l))  where LOW
-keeps DFT coefficients inside a radius `band_cutoff` * Nyquist; the
-all-ones calibration vector reproduces the uncalibrated network (the
-high band is formed by subtraction, so the band partition is exact).
+keeps DFT coefficients inside a radius `band_cutoff` * Nyquist (the high
+band is formed by subtraction, so the band partition is exact).
 
-With a calibration vector, each decoder level's first conv is split by
-linearity into an up term and two skip-band terms, which the score
-adapter reuses across calibration probes.  The sum of the split terms
-rounds differently from the conv of the joined channels, within 1e-13
-relative; without a calibration vector (training, uncalibrated runs) the
-decoder convolves the joined channels.  The split saves work only when
-probes repeat an input: for an input evaluated once it convolves the
-skip channels twice, so a run that never calibrates passes no vector
-rather than the all-ones one.  Each conv is one GEMM per sample whose
-tap outputs are added shifted, bit-identical to one GEMM per tap.
+A calibration vector other than all ones splits each decoder level's first
+conv by linearity into an up term and two skip-band terms, which the score
+adapter reuses across calibration probes; their sum rounds differently
+from the conv of the joined channels, within 1e-13 relative.  The all-ones
+vector is the identity and runs the uncalibrated network itself, bit for
+bit.  Each conv is one GEMM per sample whose tap outputs are added
+shifted, bit-identical to one GEMM per tap.
 
 Everything is plain float64 numpy.  Training is denoising score matching
 with hand-derived convolution gradients and plain SGD — the adaptation
@@ -323,49 +319,19 @@ def _skip_terms(i: int, skip: np.ndarray, weights: UNetWeights) -> tuple[np.ndar
     return _conv2d(low, w_skip, None, False)[0], _conv2d(skip - low, w_skip, None, False)[0]
 
 
-def _decode_split(i: int, up_term: np.ndarray, skip_terms: tuple[np.ndarray, np.ndarray],
-                  delta: np.ndarray, weights: UNetWeights) -> np.ndarray:
-    """Calibrated decoder level i from its split first conv, then ReLU, conv, ReLU.
+def _forward(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, want_cache: bool = False):
+    """Batched uncalibrated pass for training.  x: (B, in_channels, H, W); t_idx: (B,) int.
 
-    `_forward` and the score adapter's memo both sum the terms here, so a
-    memoised output matches a fresh forward to the last bit.
-    """
-    P = weights.params
-    low_term, high_term = skip_terms
-    # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1]
-    h, _ = _relu(up_term + delta[2 * i] * low_term + delta[2 * i + 1] * high_term, False)
-    h, _ = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)
-    return _relu(h, False)[0]
-
-
-def _forward(
-    x: np.ndarray,
-    t_idx: np.ndarray,
-    delta: np.ndarray | None,
-    weights: UNetWeights,
-    want_cache: bool = False,
-):
-    """x: (B, in_channels, H, W); t_idx: (B,) int.  Returns (out, cache).
-
-    With a calibration vector the decoder runs the split first conv, which
-    fills no backward cache, so `want_cache` needs `delta` None.
+    Returns (out, cache); `want_cache` keeps what `_backward` needs.
     """
     arch = weights.arch
     t_idx = np.asarray(t_idx, dtype=np.int64)
     _check_input(x.shape, t_idx, arch)
-    if delta is not None:
-        if want_cache:
-            raise InvalidArgumentError("the backward cache needs delta None")
-        delta = validate_delta(delta, arch.layer_count)
 
     cache: dict = {"t_idx": t_idx} if want_cache else None
     h, skips = _encode(x, t_idx, weights, cache)
     for i in reversed(range(arch.layer_count)):
-        if delta is None:
-            h = _decode_level(i, h, skips[i], weights, cache)
-        else:
-            up = _up_term(i, h, weights)
-            h = _decode_split(i, up, _skip_terms(i, skips[i], weights), delta, weights)
+        h = _decode_level(i, h, skips[i], weights, cache)
 
     out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], want_cache)
     if want_cache:
@@ -374,10 +340,9 @@ def _forward(
 
 
 def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. all parameters.
+    """Gradients of a scalar loss w.r.t. all parameters, from `_forward`'s cache.
 
-    Only valid for the uncalibrated forward path (delta None); the skip
-    branch gradient then flows through the raw skip tensor.
+    The skip branch gradient flows through the raw skip tensor.
     """
     arch = weights.arch
     P = weights.params
@@ -421,13 +386,12 @@ def unet_forward(
     delta: np.ndarray | None,
     weights: UNetWeights,
 ) -> np.ndarray:
-    """Run the network on one complex image; returns the complex 2-channel output."""
+    """Run the network on one complex image; returns the complex 2-channel output.
+
+    This is `UNetScorePrior`'s walk on a fresh prior, so nothing is reused.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2:
-        raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
-    x2 = np.stack([x.real, x.imag])[None]
-    out, _ = _forward(x2, np.array([t]), delta, weights, want_cache=False)
-    return out[0, 0] + 1j * out[0, 1]
+    return UNetScorePrior(weights)._predict_noise(x, t, delta)
 
 
 @dataclass
@@ -448,9 +412,9 @@ class UNetScorePrior(ScorePrior):
     network was trained on.  With `calibratable=False` the prior reports
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
-    Evaluations reuse earlier work whose inputs are bit for bit the same,
-    and run the same arithmetic as `unet_forward`, so every output equals a
-    fresh `unet_forward` to the last bit:
+    Evaluations reuse earlier work whose inputs are bit for bit the same;
+    `unet_forward` runs the same walk on a fresh prior, so every output
+    equals a fresh `unet_forward` to the last bit:
 
     - the encoder and bottleneck outputs of the most recent (input bytes,
       noise index); the calibration probes around one iterate then share
@@ -468,9 +432,9 @@ class UNetScorePrior(ScorePrior):
     A calibrated level sums the split terms where the uncalibrated network
     convolves the joined channels, so a calibrated output differs from the
     concatenated form (modulate_bands, join, one conv) by rounding only,
-    within 1e-13 relative; `delta` None runs the concatenated form itself.
-    Only probes that repeat an input reuse split terms; an input evaluated
-    once, such as the main denoise or a risk probe, pays for both.
+    within 1e-13 relative.  The all-ones vector runs as None, the
+    concatenated form itself, so the identity is the uncalibrated network
+    bit for bit and an uncalibrated run pays for no split terms.
 
     The memory this holds is bounded by one set of encoder activations and
     three first-conv outputs per level, plus `OUTPUTS_KEPT` images and
@@ -505,13 +469,18 @@ class UNetScorePrior(ScorePrior):
         return -eps_hat / sigma
 
     def _predict_noise(self, x: np.ndarray, idx: int, delta) -> np.ndarray:
-        """unet_forward(x, idx, delta, weights), reusing what earlier calls computed."""
+        """The network's complex output for one (H, W) image at ladder index idx.
+
+        Reuses what earlier calls computed; a vector of all ones runs as None.
+        """
         arch = self.weights.arch
         L = arch.layer_count
         if x.ndim != 2:
             raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
         if delta is not None:
             delta = validate_delta(delta, L)
+            if np.all(delta == 1.0):
+                delta = None
         in_key = (x.shape, x.tobytes(), idx)
         out_key = in_key + (None if delta is None else delta.tobytes(),)
         out = self._outputs.get(out_key)
@@ -527,6 +496,7 @@ class UNetScorePrior(ScorePrior):
             h, skips = _encode(x2, t_idx, self.weights)
             enc = self._encoded = _EncoderState(in_key, h, skips, [None] * L)
 
+        P = self.weights.params
         h = enc.h
         if delta is None:
             for i in reversed(range(L)):
@@ -549,10 +519,13 @@ class UNetScorePrior(ScorePrior):
                     enc.ups[i] = (up_key(i), up)
                 if enc.skip_terms[i] is None:
                     enc.skip_terms[i] = _skip_terms(i, enc.skips[i], self.weights)
-                h = _decode_split(i, up, enc.skip_terms[i], delta, self.weights)
+                low_term, high_term = enc.skip_terms[i]
+                # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1]
+                h, _ = _relu(up + delta[2 * i] * low_term + delta[2 * i + 1] * high_term, False)
+                h, _ = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)
+                h, _ = _relu(h, False)
                 up = None
 
-        P = self.weights.params
         head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
         out = head[0, 0] + 1j * head[0, 1]
         self._outputs[out_key] = out
@@ -641,7 +614,7 @@ def dsm_loss(
         for _ in range(draws_per_image):
             t = int(rng.integers(arch.emb_steps))
             eps = rng.standard_normal(x0.shape)
-            out, _ = _forward(x0 + sigmas[t] * eps, np.array([t]), None, weights)
+            out, _ = _forward(x0 + sigmas[t] * eps, np.array([t]), weights)
             total += float(np.mean((out - eps) ** 2))
             count += 1
     return total / count
@@ -689,7 +662,7 @@ def train_toy_denoiser(
             t = rng.integers(arch.emb_steps, size=idx.size)
             eps = rng.standard_normal(x0.shape)
             x_in = x0 + sigmas[t][:, None, None, None] * eps
-            out, cache = _forward(x_in, t, None, weights, want_cache=True)
+            out, cache = _forward(x_in, t, weights, want_cache=True)
             dout = 2.0 * (out - eps) / out.size
             grads = _backward(dout, cache, weights)
             total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))

@@ -84,17 +84,14 @@ class _DeltaLog(ScorePrior):
 
 
 @pytest.mark.parametrize("delta_init", [1.0, 0.5])
-def test_frozen_vector_reaches_prior_as_none_only_at_identity(delta_init):
+def test_frozen_vector_reaches_prior_unchanged(delta_init):
     phantom, op, y = _problem(seed=19)
     prior = _DeltaLog()
     cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True, delta_init=delta_init)
     reconstruct(y, op, prior, cfg)
     assert len(prior.seen) > cfg.steps  # the main denoise and the risk probes
     for d in prior.seen:
-        if delta_init == 1.0:
-            assert d is None
-        else:
-            assert np.array_equal(d, np.full(4, delta_init))
+        assert np.array_equal(d, np.full(4, delta_init))
 
 
 def test_calibration_off_runs_the_uncalibrated_network():

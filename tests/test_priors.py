@@ -32,6 +32,12 @@ def test_white_prior_at_unit_sigma_halves():
     assert np.allclose(prior.evaluate(x, 1.0), -x / 2.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_gaussian_score_rejects_bad_sigma(sigma):
+    with pytest.raises(InvalidArgumentError):
+        white_prior(8, 8).evaluate(np.ones((8, 8)), sigma)
+
+
 def test_nonpositive_spectrum_rejected():
     with pytest.raises(InvalidArgumentError):
         GaussianPrior(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -72,6 +78,8 @@ def test_delta_helpers():
         validate_delta(np.ones(3))
     with pytest.raises(InvalidArgumentError):
         validate_delta(np.ones(4), layer_count=3)
+    with pytest.raises(InvalidArgumentError):
+        validate_delta(np.array([1.0, np.nan]))
 
 
 @settings(max_examples=20, deadline=None)
