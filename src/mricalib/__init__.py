@@ -21,7 +21,6 @@ from .forward import (
     load_mask,
     save_mask,
     synth_coil_maps,
-    zero_filled,
 )
 from .fourier import fft2c, ifft2c
 from .metrics import psnr, ssim
@@ -32,6 +31,7 @@ from .pipeline import (
     StepRecord,
     emit_images,
     format_ablation_table,
+    paired_gain,
     reconstruct,
     run_ablation,
     shifted_cases,

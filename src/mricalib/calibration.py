@@ -12,9 +12,8 @@ all-ones vector keeps the calibrated network anchored to the pretrained
 one throughout the ladder.
 
 The calibration vector is tiny (two scalars per skip layer), so it is
-optimized derivative-free: central differences per coordinate or a
-two-evaluation simultaneous-perturbation estimate, followed by an
-adaptive-moment step, always clamped to [0, 2].
+optimized derivative-free: central differences per coordinate, followed
+by an adaptive-moment step, always clamped to [0, 2].
 """
 
 from __future__ import annotations
@@ -133,67 +132,56 @@ def delta_penalty(delta: np.ndarray) -> float:
 @dataclass
 class DeltaOptState:
     delta: np.ndarray
-    step_size: float = 0.05
-    fd_step: float = 1e-2
-    method: str = "cd"  # "cd" | "spsa"
     iteration: int = 0
-    seed: int = 0
     loss_history: list[float] = field(default_factory=list)
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
     def __post_init__(self):
         self.delta = clamp_delta(self.delta)
-        if self.method not in ("cd", "spsa"):
-            raise InvalidArgumentError(f"unknown gradient method {self.method!r}")
         if self.m is None:
             self.m = np.zeros_like(self.delta)
         if self.v is None:
             self.v = np.zeros_like(self.delta)
 
 
-def _fd_gradient(state: DeltaOptState, objective: Callable[[np.ndarray], float]) -> np.ndarray:
-    """Derivative-free gradient estimate; perturbations stay inside [0, 2]."""
+def _fd_gradient(
+    state: DeltaOptState, objective: Callable[[np.ndarray], float], fd_step: float
+) -> np.ndarray:
+    """Central-difference gradient estimate; perturbations stay inside [0, 2]."""
     delta = state.delta
-    n = delta.size
-    grad = np.zeros(n)
+    grad = np.zeros(delta.size)
     evals: list[float] = []
-    if state.method == "cd":
-        for j in range(n):
-            dp, dm = delta.copy(), delta.copy()
-            dp[j] = min(delta[j] + state.fd_step, 2.0)
-            dm[j] = max(delta[j] - state.fd_step, 0.0)
-            fp, fm = objective(dp), objective(dm)
-            evals += [fp, fm]
-            grad[j] = (fp - fm) / (dp[j] - dm[j])
-    else:  # spsa
-        rng = np.random.default_rng((state.seed, state.iteration))
-        direction = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        dp = np.clip(delta + state.fd_step * direction, 0.0, 2.0)
-        dm = np.clip(delta - state.fd_step * direction, 0.0, 2.0)
+    for j in range(delta.size):
+        dp, dm = delta.copy(), delta.copy()
+        dp[j] = min(delta[j] + fd_step, 2.0)
+        dm[j] = max(delta[j] - fd_step, 0.0)
         fp, fm = objective(dp), objective(dm)
         evals += [fp, fm]
-        span = dp - dm
-        span[span == 0] = state.fd_step  # pinned coordinate: no information, keep finite
-        grad = (fp - fm) / span
+        grad[j] = (fp - fm) / (dp[j] - dm[j])
     if not np.all(np.isfinite(evals)):
         raise NumericError("objective returned non-finite values during perturbation")
     state.loss_history.append(float(np.mean(evals)))
     return grad
 
 
-def update_delta(state: DeltaOptState, objective: Callable[[np.ndarray], float]) -> DeltaOptState:
+def update_delta(
+    state: DeltaOptState,
+    objective: Callable[[np.ndarray], float],
+    step_size: float,
+    fd_step: float,
+) -> DeltaOptState:
     """One derivative-free optimization step; mutates and returns the state."""
     if state.delta.size == 0:
         state.iteration += 1
         return state
-    grad = _fd_gradient(state, objective)
+    grad = _fd_gradient(state, objective, fd_step)
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.m = b1 * state.m + (1 - b1) * grad
     state.v = b2 * state.v + (1 - b2) * grad**2
     k = state.iteration + 1
     m_hat = state.m / (1 - b1**k)
     v_hat = state.v / (1 - b2**k)
-    state.delta = clamp_delta(state.delta - state.step_size * m_hat / (np.sqrt(v_hat) + eps))
+    state.delta = clamp_delta(state.delta - step_size * m_hat / (np.sqrt(v_hat) + eps))
     state.iteration += 1
     return state

@@ -252,11 +252,6 @@ def normal_operator(op: ForwardOperator) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def zero_filled(y: np.ndarray, op: ForwardOperator) -> np.ndarray:
-    """Zero-filled reconstruction: the adjoint applied to the measurements."""
-    return apply_adjoint(y, op)
-
-
 def add_noise(y: np.ndarray, mask: SamplingMask, noise_std: float, seed: int = 0) -> np.ndarray:
     """Add i.i.d. complex Gaussian noise (per-component std) on sampled entries only."""
     if not noise_std >= 0:

@@ -51,16 +51,17 @@ from .errors import InvalidArgumentError, NumericError
 from .forward import (
     ForwardOperator,
     add_noise,
+    apply_adjoint,
     apply_forward,
     generate_mask,
     synth_coil_maps,
-    zero_filled,
 )
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, validate_delta
-from .sampler import build_schedule, renoise, tweedie_denoise
+from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
 from .regularization import (
+    SURE_FORMS,
     RegAdaptState,
     convergence_criterion,
     sure_loss,
@@ -91,17 +92,16 @@ class ReconConfig:
     enable_rpa: bool = setting(True, "regularization-weight walk (the flag turns it off)",
                                flag="--disable-rpa")
     seed_init: int = setting(0, "seed of the initial noise image", SEED)
-    seed_partition: int = setting(0, "seed of the k-space holdout split and SPSA directions", SEED)
+    seed_partition: int = setting(0, "seed of the k-space holdout split", SEED)
     seed_mc: int = setting(0, "seed of the risk estimate's probes", SEED)
     seed_noise: int = setting(0, "seed of the renoise transitions", SEED)
     renoise_mode: str = setting("deterministic", "transition to the next noise level",
-                                one_of("deterministic", "stochastic"))
+                                one_of(*RENOISE_MODES))
     sure_form: str = setting("product", "form of the randomized risk estimate",
-                             one_of("product", "additive"))
+                             one_of(*SURE_FORMS))
     sure_eps_scale: float = setting(1e-3, "risk probe size relative to max |x|", POSITIVE)
     delta_step: float = setting(0.05, "calibration step size", POSITIVE)
     delta_fd_step: float = setting(0.01, "calibration perturbation size", POSITIVE)
-    delta_method: str = setting("cd", "calibration gradient estimate", one_of("cd", "spsa"))
     gamma_step: float = setting(0.1, "weight-walk step size in log gamma", POSITIVE)
     gamma_fd_step: float = setting(0.05, "weight-walk perturbation size in log gamma", POSITIVE)
 
@@ -169,29 +169,15 @@ def reconstruct(
     delta = validate_delta(np.full(2 * layer_count, cfg.delta_init), layer_count)
 
     run_fpc = cfg.enable_fpc and layer_count > 0
-    delta_state = DeltaOptState(
-        delta=delta,
-        step_size=cfg.delta_step,
-        fd_step=cfg.delta_fd_step,
-        method=cfg.delta_method,
-        seed=cfg.seed_partition,
-    )
-    reg_state = None
+    delta_state = DeltaOptState(delta)
+    reg_state = RegAdaptState(cfg.gamma_init) if cfg.enable_rpa else None
     gamma = cfg.gamma_init
-    if cfg.enable_rpa:
-        reg_state = RegAdaptState(
-            gamma=cfg.gamma_init,
-            step_size=cfg.gamma_step,
-            fd_step=cfg.gamma_fd_step,
-            window=cfg.window,
-            threshold=cfg.tau_reg,
-        )
 
     if run_fpc:
         part = partition_mask(op.mask, cfg.holdout_fraction, cfg.seed_partition)
         op_l, op_g = op.with_mask(part.lambda_bits), op.with_mask(part.gamma_bits)
         y_l, y_g = y * part.lambda_bits[None], y * part.gamma_bits[None]
-    x_zf = zero_filled(y, op)
+    x_zf = apply_adjoint(y, op)
 
     rng = np.random.default_rng(cfg.seed_init)
     x = sigmas[-1] * (rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape))
@@ -211,7 +197,7 @@ def reconstruct(
                     + delta_penalty(d)
                 )
 
-            delta_state = update_delta(delta_state, objective)
+            delta_state = update_delta(delta_state, objective, cfg.delta_step, cfg.delta_fd_step)
             loss_ssl = delta_state.loss_history[-1]
             x_lambda_hat = one_step_recon(x_lambda, sigma, prior, delta_state.delta,
                                           y_l, op_l, gamma, cfg.cg)
@@ -234,11 +220,11 @@ def reconstruct(
                     form=cfg.sure_form, noise_var=_sigma**2,
                 )
 
-            reg_state = update_gamma(reg_state, loss_fn)
+            reg_state = update_gamma(reg_state, loss_fn, cfg.gamma_step, cfg.gamma_fd_step)
             gamma = reg_state.gamma
             loss_reg = reg_state.loss_history[-1]
-            conv = convergence_criterion(reg_state.loss_history, reg_state.window)
-            if conv is not None and conv < reg_state.threshold:
+            conv = convergence_criterion(reg_state.loss_history, cfg.window)
+            if conv is not None and conv < cfg.tau_reg:
                 reg_state.stopped = True
                 stopped_at = t
 
@@ -322,8 +308,8 @@ def run_ablation(
 ) -> list[dict]:
     """Run the four toggle combinations over (y, op, reference) cases.
 
-    Returns one row per combination with mean/std PSNR and SSIM;
-    deterministic for fixed seeds.
+    Returns one row per combination with the per-case PSNRs and the
+    mean/std PSNR and SSIM; deterministic for fixed seeds.
     """
     if not cases:
         raise InvalidArgumentError("need at least one case")
@@ -341,6 +327,7 @@ def run_ablation(
                 "label": label,
                 "enable_fpc": fpc,
                 "enable_rpa": rpa,
+                "psnr_cases": psnrs,
                 "psnr_mean": float(np.mean(psnrs)),
                 "psnr_std": float(np.std(psnrs)),
                 "ssim_mean": float(np.mean(ssims)),
@@ -350,14 +337,28 @@ def run_ablation(
     return table
 
 
+def paired_gain(ours: dict, row: dict) -> tuple[float, int]:
+    """Mean per-case PSNR of `ours` minus `row`, and the cases where `ours` is higher."""
+    diff = np.subtract(ours["psnr_cases"], row["psnr_cases"])
+    return float(np.mean(diff)), int(np.sum(diff > 0))
+
+
 def format_ablation_table(table: list[dict]) -> str:
-    lines = [f"{'Method':<10} {'PSNR (dB)':>18} {'SSIM':>18}"]
+    """Mean±std per row; rows other than Ours add the paired Ours − row gain and wins."""
+    ours = next(row for row in table if row["label"] == "Ours")
+    lines = [f"{'Method':<10} {'PSNR (dB)':>18} {'SSIM':>18} {'Ours − row (dB)':>16} "
+             f"{'wins':>7}"]
     for row in table:
-        lines.append(
+        line = (
             f"{row['label']:<10} "
             f"{row['psnr_mean']:>9.3f}±{row['psnr_std']:<8.3f} "
             f"{row['ssim_mean']:>9.4f}±{row['ssim_std']:<8.4f}"
         )
+        if row is not ours:
+            gain, wins = paired_gain(ours, row)
+            won = f"{wins}/{len(row['psnr_cases'])}"
+            line += f" {gain:>+16.3f} {won:>7}"
+        lines.append(line)
     return "\n".join(lines)
 
 

@@ -93,11 +93,7 @@ def sure_loss(
 
 @dataclass
 class RegAdaptState:
-    gamma: float = 1.0
-    step_size: float = 0.1
-    fd_step: float = 0.05  # in log space
-    window: int = 5
-    threshold: float = 0.001
+    gamma: float
     iteration: int = 0
     stopped: bool = False
     loss_history: list[float] = field(default_factory=list)
@@ -109,18 +105,25 @@ class RegAdaptState:
             raise InvalidArgumentError("gamma must be > 0")
 
 
-def update_gamma(state: RegAdaptState, loss_fn: Callable[[float], float]) -> RegAdaptState:
-    """One adaptive-moment step on log(gamma); a no-op once stopped."""
+def update_gamma(
+    state: RegAdaptState,
+    loss_fn: Callable[[float], float],
+    step_size: float,
+    fd_step: float,
+) -> RegAdaptState:
+    """One adaptive-moment step on log(gamma); a no-op once stopped.
+
+    step_size and fd_step are both measured in log(gamma).
+    """
     if state.stopped:
         return state
-    h = state.fd_step
     u = np.log(state.gamma)
     lo, hi = np.log(GAMMA_BOUNDS[0]), np.log(GAMMA_BOUNDS[1])
-    f_plus = loss_fn(float(np.exp(min(u + h, hi))))
-    f_minus = loss_fn(float(np.exp(max(u - h, lo))))
+    f_plus = loss_fn(float(np.exp(min(u + fd_step, hi))))
+    f_minus = loss_fn(float(np.exp(max(u - fd_step, lo))))
     if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
         raise NumericError("risk objective returned non-finite values")
-    grad = (f_plus - f_minus) / (2 * h)
+    grad = (f_plus - f_minus) / (2 * fd_step)
 
     # short-horizon walk over a noisy 1-D objective: modest momentum
     b1, b2, eps = 0.7, 0.999, 1e-8
@@ -129,7 +132,7 @@ def update_gamma(state: RegAdaptState, loss_fn: Callable[[float], float]) -> Reg
     k = state.iteration + 1
     m_hat = state.m / (1 - b1**k)
     v_hat = state.v / (1 - b2**k)
-    u = np.clip(u - state.step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
+    u = np.clip(u - step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
 
     state.gamma = float(np.exp(u))
     state.iteration += 1

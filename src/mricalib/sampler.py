@@ -17,6 +17,8 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 from .priors import ScorePrior
 
+RENOISE_MODES = ("deterministic", "stochastic")
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -81,7 +83,7 @@ def renoise(
     (x_curr - x_hat) / sigma_curr; stochastic mode draws fresh complex
     Gaussian noise with per-component std sigma_next.
     """
-    if mode not in ("deterministic", "stochastic"):
+    if mode not in RENOISE_MODES:
         raise InvalidArgumentError(f"unknown renoise mode {mode!r}")
     if sigma_next < 0 or sigma_next > sigma_curr:
         raise InvalidArgumentError(

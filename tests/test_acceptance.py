@@ -29,6 +29,7 @@ from mricalib import (
     ifft2c,
     make_phantom,
     mc_divergence,
+    paired_gain,
     psnr,
     reconstruct,
     run_ablation,
@@ -221,15 +222,17 @@ def test_criterion_7_early_stopping():
     assert convergence_criterion([4.0, 4.0, 2.0, 2.0], 2) == 0.5
 
     # constant history at the stated defaults: E = 0 < 0.001 -> permanent freeze
-    state = RegAdaptState(gamma=1.0, window=5, threshold=0.001)
+    defaults = ReconConfig()
+    assert (defaults.window, defaults.tau_reg) == (5, 0.001)
+    state = RegAdaptState(gamma=1.0)
     state.loss_history = [3.0] * 10
-    e_val = convergence_criterion(state.loss_history, state.window)
+    e_val = convergence_criterion(state.loss_history, defaults.window)
     assert e_val == 0.0
-    assert e_val < state.threshold
+    assert e_val < defaults.tau_reg
     state.stopped = True
     frozen = state.gamma
     for _ in range(5):
-        state = update_gamma(state, lambda g: g**2)
+        state = update_gamma(state, lambda g: g**2, defaults.gamma_step, defaults.gamma_fd_step)
         assert state.gamma == frozen
         assert len(state.loss_history) == 10
     elapsed = time.perf_counter() - started
@@ -261,11 +264,12 @@ def test_criterion_8_directional_ablation():
         gamma_step=0.3, delta_step=0.05, tau_ssl=1.0,
         cg=CGConfig(max_iters=20, tol=1e-8),
     )
-    table = {row["label"]: row["psnr_mean"] for row in run_ablation(cases, prior, cfg)}
-    both_off = table["Baseline"]
-    fpc_only = table["w/o RPA"]
-    rpa_only = table["w/o FPC"]
-    both_on = table["Ours"]
+    rows = {row["label"]: row for row in run_ablation(cases, prior, cfg)}
+    both_off = rows["Baseline"]["psnr_mean"]
+    fpc_only = rows["w/o RPA"]["psnr_mean"]
+    rpa_only = rows["w/o FPC"]["psnr_mean"]
+    both_on = rows["Ours"]["psnr_mean"]
+    gain, wins = paired_gain(rows["Ours"], rows["w/o FPC"])
 
     elapsed = time.perf_counter() - started
     assert both_on >= max(fpc_only, rpa_only), f"{both_on:.2f} < max({fpc_only:.2f}, {rpa_only:.2f})"
@@ -275,7 +279,8 @@ def test_criterion_8_directional_ablation():
     _report(
         8,
         f"PSNR: off {both_off:.2f} | cal-only {fpc_only:.2f} | weight-only {rpa_only:.2f} "
-        f"| full {both_on:.2f} (+{both_on - both_off:.2f} dB) ({elapsed:.0f}s)",
+        f"| full {both_on:.2f} (+{both_on - both_off:.2f} dB); full over weight-only "
+        f"{gain:+.3f} dB, {wins}/{len(cases)} wins ({elapsed:.0f}s)",
     )
 
 

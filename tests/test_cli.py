@@ -272,7 +272,6 @@ SETTING_FLAGS = [
     (["--sure-eps-scale", "0.01"], "sure_eps_scale", 0.01),
     (["--delta-step", "0.1"], "delta_step", 0.1),
     (["--delta-fd-step", "0.02"], "delta_fd_step", 0.02),
-    (["--delta-method", "spsa"], "delta_method", "spsa"),
     (["--gamma-step", "0.3"], "gamma_step", 0.3),
     (["--gamma-fd-step", "0.1"], "gamma_fd_step", 0.1),
 ]

@@ -18,7 +18,6 @@ from mricalib import (
     save_mask,
     solve_p3,
     synth_coil_maps,
-    zero_filled,
 )
 from mricalib.errors import InvalidArgumentError
 from mricalib.forward import normal_operator
@@ -204,8 +203,8 @@ def test_projection_property_where_it_holds():
     for kind, accel, coils in [("Gaussian1D", 4, 1), ("Uniform1D", 8, 1), ("Gaussian1D", 1, 4)]:
         op = _operator(kind, accel, coils, 32, seed=10 + coils)
         y = _rand_kspace(rng, coils, 32, 32)
-        once = apply_forward(zero_filled(y, op), op)
-        twice = apply_forward(zero_filled(once, op), op)
+        once = apply_forward(apply_adjoint(y, op), op)
+        twice = apply_forward(apply_adjoint(once, op), op)
         assert np.max(np.abs(twice - once)) <= 1e-10 * np.max(np.abs(once))
 
 
@@ -340,24 +339,12 @@ def test_noise_determinism():
 # ---------------------------------------------------------------------------
 
 
-def test_zero_filled_full_mask_is_inverse_fft():
-    op = _operator(accel=1, coils=1)
-    rng = np.random.default_rng(8)
-    y = _rand_kspace(rng, 1, 32, 32)
-    assert np.allclose(zero_filled(y, op), ifft2c(y[0]), atol=1e-13)
-
-
-def test_zero_filled_zero_input():
-    op = _operator()
-    assert np.all(zero_filled(np.zeros((4, 32, 32)), op) == 0)
-
-
-def test_zero_filled_worse_than_regularized_solve():
+def test_adjoint_image_worse_than_regularized_solve():
     phantom = make_phantom(PhantomSpec(size=64, seed=4))
     mask = generate_mask("Gaussian1D", 64, 64, 4, 0.08, seed=2)
     sens = synth_coil_maps(4, 64, 64, seed=3)
     op = ForwardOperator(mask, sens)
     y = apply_forward(phantom, op)
-    x_zf = zero_filled(y, op)
+    x_zf = apply_adjoint(y, op)
     solved = solve_p3(np.zeros_like(x_zf), y, op, 100.0, CGConfig(max_iters=40, tol=1e-9)).x
     assert psnr(solved, phantom) > psnr(x_zf, phantom)

@@ -16,6 +16,7 @@ from mricalib import (
     format_ablation_table,
     generate_mask,
     make_phantom,
+    paired_gain,
     partition_mask,
     reconstruct,
     run_ablation,
@@ -121,11 +122,27 @@ def test_rpa_updates_gamma_and_freezes_after_stop():
     _, report = reconstruct(y, op, white_prior(32, 32), cfg)
     gammas = [rec.gamma for rec in report.records]
     assert any(g != cfg.gamma_init for g in gammas)
-    if report.stopped_at is not None:
-        idx = next(i for i, rec in enumerate(report.records) if rec.t == report.stopped_at)
-        frozen = gammas[idx]
-        assert all(g == frozen for g in gammas[idx:])
-        assert all(rec.loss_reg is None for rec in report.records[idx + 1 :])
+    assert report.stopped_at is not None
+    idx = next(i for i, rec in enumerate(report.records) if rec.t == report.stopped_at)
+    frozen = gammas[idx]
+    assert all(g == frozen for g in gammas[idx:])
+    assert all(rec.loss_reg is None for rec in report.records[idx + 1 :])
+
+
+def test_walk_settings_reach_the_walks():
+    """Step sizes and the stop rule come from ReconConfig, not from defaults in the walks."""
+    phantom, op, y = _problem(seed=9)
+    arch = UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8)
+    prior = UNetScorePrior(init_weights(arch, seed=4))
+    cfg = ReconConfig(**FAST, delta_step=0.03, delta_fd_step=0.02, gamma_step=0.2,
+                      gamma_fd_step=0.1, tau_reg=1e6, window=2)
+    _, report = reconstruct(y, op, prior, cfg)
+    first = report.records[0]
+    # Adam's first step has size step_size in every coordinate whose gradient is nonzero
+    assert np.allclose(np.abs(first.delta - cfg.delta_init), cfg.delta_step, atol=1e-6)
+    assert abs(np.log(first.gamma / cfg.gamma_init)) == pytest.approx(cfg.gamma_step, abs=1e-9)
+    # any finite convergence measure is below 1e6: the walk stops once two windows have filled
+    assert report.stopped_at == cfg.steps - 2 * cfg.window + 1
 
 
 def test_prior_only_limit_converges_to_mean():
@@ -256,8 +273,16 @@ def test_ablation_rows_and_determinism():
     t2 = run_ablation(cases, prior, cfg)
     assert [row["label"] for row in t1] == ["Baseline", "w/o RPA", "w/o FPC", "Ours"]
     assert t1 == t2
+    for row in t1:
+        assert len(row["psnr_cases"]) == len(cases)
+        assert row["psnr_mean"] == pytest.approx(np.mean(row["psnr_cases"]))
     text = format_ablation_table(t1)
-    assert "Baseline" in text and "Ours" in text
+    lines = text.splitlines()[1:]
+    assert [line.split()[0] for line in lines] == ["Baseline", "w/o", "w/o", "Ours"]
+    for row, line in zip(t1[:-1], lines):
+        gain, wins = paired_gain(t1[-1], row)
+        assert line.split()[-2:] == [f"{gain:+.3f}", f"{wins}/{len(cases)}"]
+    assert len(lines[-1].split()) == 3  # Ours has no gain over itself
 
 
 # ---------------------------------------------------------------------------

@@ -122,24 +122,24 @@ def test_sure_nonfinite_rejected():
 
 
 def test_gamma_descends_log_quadratic():
-    state = RegAdaptState(gamma=float(np.e), step_size=0.1)
+    state = RegAdaptState(gamma=float(np.e))
     for _ in range(20):
-        state = update_gamma(state, lambda g: np.log(g) ** 2)
+        state = update_gamma(state, lambda g: np.log(g) ** 2, step_size=0.1, fd_step=0.05)
     assert abs(np.log(state.gamma)) < 0.2
 
 
 def test_stopped_state_is_frozen():
     state = RegAdaptState(gamma=2.0, stopped=True)
-    out = update_gamma(state, lambda g: g**2)
+    out = update_gamma(state, lambda g: g**2, step_size=0.1, fd_step=0.05)
     assert out is state
     assert out.gamma == 2.0
     assert out.loss_history == []
 
 
 def test_gamma_clamped_to_bounds():
-    state = RegAdaptState(gamma=1.0, step_size=5.0)
-    for _ in range(40):
-        state = update_gamma(state, lambda g: np.log(g))  # push down hard
+    state = RegAdaptState(gamma=1.0)
+    for _ in range(40):  # push down hard
+        state = update_gamma(state, lambda g: np.log(g), step_size=5.0, fd_step=0.05)
         assert GAMMA_BOUNDS[0] <= state.gamma <= GAMMA_BOUNDS[1]
     assert state.gamma == pytest.approx(GAMMA_BOUNDS[0])
 
