@@ -16,7 +16,7 @@ apply_adjoint(apply_forward(v)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,6 @@ class CGResult:
     x: np.ndarray
     residual: float  # relative residual ||b - Op x|| / ||b||
     iters: int
-    history: list[float] = field(default_factory=list)
 
 
 def cg_solve(
@@ -55,15 +54,15 @@ def cg_solve(
     if not np.isfinite(b_norm):
         raise NumericError("right-hand side contains non-finite values")
     if b_norm == 0.0:
-        return CGResult(np.zeros_like(rhs), 0.0, 0, [0.0])
+        return CGResult(np.zeros_like(rhs), 0.0, 0)
 
     x = np.array(x0, copy=True)
     r = rhs - operator(x)
     p = r.copy()
     rs = float(np.real(np.vdot(r, r)))
-    history = [np.sqrt(rs) / b_norm]
+    residual = np.sqrt(rs) / b_norm
     iters = 0
-    while iters < cfg.max_iters and history[-1] > cfg.tol:
+    while iters < cfg.max_iters and residual > cfg.tol:
         op_p = operator(p)
         p_op_p = float(np.real(np.vdot(p, op_p)))
         if p_op_p <= 0.0:
@@ -75,8 +74,8 @@ def cg_solve(
         p = r + (rs_new / rs) * p
         rs = rs_new
         iters += 1
-        history.append(np.sqrt(rs) / b_norm)
-    return CGResult(x, history[-1], iters, history)
+        residual = np.sqrt(rs) / b_norm
+    return CGResult(x, residual, iters)
 
 
 def solve_p3(
@@ -96,7 +95,7 @@ def solve_p3(
         raise InvalidArgumentError("gamma must be >= 0")
     x_dot = np.asarray(x_dot, dtype=np.complex128)
     if gamma == 0:
-        return CGResult(x_dot.copy(), 0.0, 0, [0.0])
+        return CGResult(x_dot.copy(), 0.0, 0)
 
     rhs = gamma * apply_adjoint(y, op) + x_dot
     gram = normal_operator(op)  # after rhs: its buffers and apply_adjoint's temporaries never coexist

@@ -29,7 +29,6 @@ from .forward import MASK_KINDS, ForwardOperator, load_mask, save_mask
 from .phantom import PHANTOM_KINDS, PhantomSpec, make_phantom
 from .pipeline import (
     ReconConfig,
-    ReconReport,
     StepRecord,
     emit_images,
     format_ablation_table,
@@ -117,7 +116,13 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
     if args.prior == "gaussian":
         if not (args.prior_mean and args.prior_spectrum):
             raise InvalidArgumentError("--prior gaussian needs --prior-mean and --prior-spectrum")
-        return GaussianPrior(read_tensor(args.prior_mean), read_tensor(args.prior_spectrum))
+        mean, spectrum = read_tensor(args.prior_mean), read_tensor(args.prior_spectrum)
+        if mean.shape != shape:
+            raise FormatError(f"prior mean {args.prior_mean}: shape {mean.shape} is not {shape}")
+        try:
+            return GaussianPrior(mean, spectrum)
+        except InvalidArgumentError as exc:
+            raise FormatError(f"prior {args.prior_mean}, {args.prior_spectrum}: {exc}") from exc
     if args.prior == "unet":
         if not args.weights:
             raise InvalidArgumentError("--prior unet needs --weights")
@@ -126,17 +131,6 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
             weights.arch = dataclasses.replace(weights.arch, band_cutoff=args.band_cutoff)
         return UNetScorePrior(weights, calibratable=not args.uncalibrated)
     raise InvalidArgumentError(f"unknown prior {args.prior!r}")
-
-
-def _report_to_json(report: ReconReport, cfg: ReconConfig) -> dict:
-    return {
-        "config": dataclasses.asdict(cfg),
-        "stopped_at": report.stopped_at,
-        "psnr": report.psnr,
-        "ssim": report.ssim,
-        "wall_clock": report.wall_clock,
-        "records": [{**dataclasses.asdict(r), "delta": r.delta.tolist()} for r in report.records],
-    }
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -164,11 +158,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     write_tensor(os.path.join(args.out_dir, "recon.bt"), image)
     with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-        json.dump(_report_to_json(report, cfg), fh, indent=1)
+        json.dump({"config": dataclasses.asdict(cfg), **dataclasses.asdict(report)}, fh, indent=1,
+                  default=np.ndarray.tolist)
     with open(os.path.join(args.out_dir, "traces.txt"), "w") as fh:
-        fh.write(trace_columns(report))
+        fh.write(trace_columns(report.records))
     if args.emit_images:
-        emit_images(report, args.out_dir)
+        emit_images(image, reference, args.out_dir)
     if report.psnr is not None:
         print(f"PSNR {report.psnr:.3f} dB  SSIM {report.ssim:.4f}")
     print(f"wrote recon.bt / report.json / traces.txt under {args.out_dir}")
@@ -193,9 +188,8 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     try:  # any malformed part, down to a field trace_columns cannot format; OSError passes
         with open(args.report) as fh:
             data = json.load(fh)
-        records = [StepRecord(**{**r, "delta": np.asarray(r["delta"], dtype=np.float64)})
-                   for r in data["records"]]
-        text = trace_columns(ReconReport(records, np.zeros((1, 1)), data["stopped_at"]))
+        text = trace_columns([StepRecord(**{**r, "delta": np.asarray(r["delta"], dtype=np.float64)})
+                              for r in data["records"]])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed report {args.report}: {exc!r}") from exc
     if args.out:

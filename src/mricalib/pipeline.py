@@ -115,6 +115,8 @@ class ReconConfig:
 
 @dataclass
 class StepRecord:
+    """One reverse step; report.json and traces.txt carry every field in this order."""
+
     t: int
     sigma: float
     delta: np.ndarray
@@ -128,13 +130,13 @@ class StepRecord:
 
 @dataclass
 class ReconReport:
-    records: list[StepRecord]
-    final_image: np.ndarray
+    """What a run reports, in the key order of report.json (after the config)."""
+
     stopped_at: int | None  # 1-based step index at which gamma froze
-    reference: np.ndarray | None = None
-    psnr: float | None = None
-    ssim: float | None = None
-    wall_clock: float = 0.0
+    psnr: float | None
+    ssim: float | None
+    wall_clock: float
+    records: list[StepRecord]
 
 
 def reconstruct(
@@ -148,20 +150,25 @@ def reconstruct(
 
     The report always carries exactly `steps` records; an early stop only
     freezes the regularization weight, it never truncates the loop.
-    Non-finite k-space or sensitivities raise NumericError naming which,
-    as do sensitivities whose pixelwise sum_c |S_c|^2 exceeds 1 (+1e-6):
-    the operator assumes normalized maps, and maps below 1 stay legal.
+    Non-finite k-space, sensitivities or reference raise NumericError naming
+    which, as do sensitivities whose pixelwise sum_c |S_c|^2 exceeds 1 (+1e-6):
+    the operator assumes normalized maps, and maps below 1 stay legal.  A
+    reference of another shape or with a zero peak raises InvalidArgumentError.
     """
     started = time.perf_counter()
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (op.coils, *op.shape):
         raise InvalidArgumentError(f"k-space shape {y.shape} does not match operator")
-    for name, data in (("k-space", y), ("sensitivities", op.sens)):
-        if not np.all(np.isfinite(data)):
+    if reference is not None and np.shape(reference) != op.shape:
+        raise InvalidArgumentError(f"reference shape {np.shape(reference)} is not {op.shape}")
+    for name, data in (("k-space", y), ("sensitivities", op.sens), ("reference", reference)):
+        if data is not None and not np.all(np.isfinite(data)):
             raise NumericError(f"{name} contains non-finite values")
     sens_power = float(np.max(np.sum(np.abs(op.sens) ** 2, axis=0)))
     if sens_power > 1 + 1e-6:
         raise NumericError(f"sensitivities exceed sum_c |S_c|^2 = 1 (max {sens_power:.6g})")
+    if reference is not None and not np.abs(reference).max() > 0:
+        raise InvalidArgumentError("reference maximum must be positive")  # psnr's rule
 
     schedule = build_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
     sigmas = schedule.sigmas
@@ -248,17 +255,13 @@ def reconstruct(
             )
         )
 
-    report = ReconReport(
-        records=records,
-        final_image=x,
+    return x, ReconReport(
         stopped_at=stopped_at,
-        reference=None if reference is None else np.asarray(reference, dtype=np.complex128),
+        psnr=None if reference is None else psnr(x, reference),
+        ssim=None if reference is None else ssim(x, reference),
         wall_clock=time.perf_counter() - started,
+        records=records,
     )
-    if reference is not None:
-        report.psnr = psnr(x, reference)
-        report.ssim = ssim(x, reference)
-    return x, report
 
 
 # ---------------------------------------------------------------------------
@@ -379,34 +382,25 @@ def _write_pgm(path: str, image: np.ndarray, peak: float | None = None) -> None:
         fh.write(data.tobytes())
 
 
-def trace_columns(report: ReconReport) -> str:
-    """Plain-text per-step traces (one row per reverse step, t descending)."""
-    n_delta = report.records[0].delta.size if report.records else 0
-    header = ["t", "sigma", "gamma", "loss_ssl", "loss_reg", "conv_metric", "cg_residual"]
-    header += [f"delta_{i}" for i in range(n_delta)]
-    lines = ["# " + " ".join(header)]
-    for rec in report.records:
-        vals = [
-            f"{rec.t}",
-            f"{rec.sigma:.8g}",
-            f"{rec.gamma:.8g}",
-            "nan" if rec.loss_ssl is None else f"{rec.loss_ssl:.8g}",
-            "nan" if rec.loss_reg is None else f"{rec.loss_reg:.8g}",
-            "nan" if rec.conv_metric is None else f"{rec.conv_metric:.8g}",
-            f"{rec.cg_residual:.8g}",
-        ]
-        vals += [f"{d:.8g}" for d in rec.delta]
-        lines.append(" ".join(vals))
+def trace_columns(records: list[StepRecord]) -> str:
+    """One row per step, one .8g column per StepRecord field (None as nan), delta spread last."""
+    names = [f.name for f in dataclasses.fields(StepRecord) if f.name != "delta"]
+    n_delta = records[0].delta.size if records else 0
+    lines = ["# " + " ".join(names + [f"delta_{i}" for i in range(n_delta)])]
+    for rec in records:
+        values = [getattr(rec, name) for name in names] + list(rec.delta)
+        lines.append(" ".join("nan" if v is None else f"{v:.8g}" for v in values))
     return "\n".join(lines) + "\n"
 
 
-def emit_images(report: ReconReport, out_dir: str | os.PathLike) -> None:
+def emit_images(image: np.ndarray, reference: np.ndarray | None,
+                out_dir: str | os.PathLike) -> None:
     """Write the graymaps: reconstruction, and with a reference also reference and error."""
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    _write_pgm(os.path.join(out_dir, "recon.pgm"), report.final_image)
-    if report.reference is not None:
-        peak = float(np.abs(report.reference).max())
-        _write_pgm(os.path.join(out_dir, "reference.pgm"), report.reference)
-        error = np.abs(np.abs(report.final_image) - np.abs(report.reference))
+    _write_pgm(os.path.join(out_dir, "recon.pgm"), image)
+    if reference is not None:
+        peak = float(np.abs(reference).max())
+        _write_pgm(os.path.join(out_dir, "reference.pgm"), reference)
+        error = np.abs(np.abs(image) - np.abs(reference))
         _write_pgm(os.path.join(out_dir, "error.pgm"), error, peak=peak)

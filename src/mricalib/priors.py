@@ -34,17 +34,22 @@ class ScorePrior:
 class GaussianPrior(ScorePrior):
     """Circulant Gaussian N(mean, Sigma) diagonalized by the centered DFT.
 
-    `spectrum` holds the (strictly positive) eigenvalues of Sigma on the
-    centered frequency grid, acting identically on real and imaginary
-    parts.  The calibration vector is ignored (layer_count = 0).
+    `spectrum` holds the (real, strictly positive) eigenvalues of Sigma on
+    the centered frequency grid, acting identically on real and imaginary
+    parts; `mean` must be finite.  The calibration vector is ignored
+    (layer_count = 0).
     """
 
     mean: np.ndarray
     spectrum: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.spectrum):
+            raise InvalidArgumentError("prior spectrum must be real")
         self.mean = np.asarray(self.mean, dtype=np.complex128)
         self.spectrum = np.asarray(self.spectrum, dtype=np.float64)
+        if not np.all(np.isfinite(self.mean)):
+            raise InvalidArgumentError("prior mean must be finite")
         if self.mean.shape != self.spectrum.shape:
             raise InvalidArgumentError(
                 f"mean {self.mean.shape} and spectrum {self.spectrum.shape} disagree"

@@ -51,8 +51,9 @@ def test_residual_monotone_for_hpd():
     B = rng.standard_normal((32, 32))
     A = B.T @ B + 32 * np.eye(32)
     rhs = rng.standard_normal(32)
-    res = cg_solve(lambda v: A @ v, rhs, np.zeros(32), CGConfig(max_iters=60, tol=1e-14))
-    hist = np.asarray(res.history)
+    # CG is deterministic, so the solve capped at k iterations ends on the k-th iterate
+    hist = [cg_solve(lambda v: A @ v, rhs, np.zeros(32), CGConfig(max_iters=k, tol=1e-14)).residual
+            for k in range(1, 61)]
     assert np.all(np.diff(hist) <= 1e-12)
 
 

@@ -434,3 +434,45 @@ def test_oversized_sensitivities_exit_3(tmp_path, capsys, sim16):
     ])
     assert code == 3
     assert "numeric error: sensitivities exceed" in capsys.readouterr().err
+
+
+def test_traces_rerenders_the_written_traces(tmp_path, sim16, tiny_weights):
+    """traces.txt and the re-render of report.json derive from StepRecord, byte for byte."""
+    out = tmp_path / "o"
+    assert _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+        "--sens", str(sim16 / "sens.bt"), "--out-dir", str(out), "--steps", "8", "--window", "2",
+        "--prior", "unet", "--weights", str(tiny_weights),
+    ]) == 0
+    rerender = tmp_path / "t.txt"
+    assert _run(["traces", "--report", str(out / "report.json"), "--out", str(rerender)]) == 0
+    written = (out / "traces.txt").read_text()
+    assert rerender.read_text() == written
+    header, *rows = written.splitlines()
+    assert "cg_iters" in header.split()
+    columns = zip(*(row.split() for row in rows))
+    assert all(any(v != "nan" for v in column) for column in columns)  # both walks on
+
+
+@pytest.mark.parametrize("damage", [
+    lambda t: ("spectrum", t["spectrum"].astype(np.complex128)),
+    lambda t: ("mean", np.where(np.eye(16) > 0, np.inf, t["mean"])),
+    lambda t: ("spectrum", np.where(np.eye(16) > 0, np.nan, t["spectrum"])),
+    lambda t: ("mean", np.zeros((16, 8))),
+], ids=["complex spectrum", "inf mean", "nan spectrum", "mean shape"])
+def test_bad_prior_tensor_exits_4(tmp_path, capsys, sim16, damage):
+    """A valid 16x16 Gaussian prior with one tensor damaged is a format error naming the file."""
+    tensors = {"mean": np.zeros((16, 16)), "spectrum": np.ones((16, 16))}
+    name, value = damage(tensors)
+    for key, data in {**tensors, name: value}.items():
+        write_tensor(tmp_path / f"{key}.bt", data)
+    out = tmp_path / "o"
+    code = _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+        "--sens", str(sim16 / "sens.bt"), "--out-dir", str(out), "--steps", "3",
+        "--prior", "gaussian", "--prior-mean", str(tmp_path / "mean.bt"),
+        "--prior-spectrum", str(tmp_path / "spectrum.bt"),
+    ])
+    assert code == 4
+    assert "mean.bt" in capsys.readouterr().err
+    assert not (out / "recon.bt").exists()

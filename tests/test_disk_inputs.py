@@ -1,5 +1,6 @@
 """Whatever bytes sit on disk, a reader returns or raises FormatError, never anything else."""
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -12,6 +13,7 @@ from mricalib import read_tensor, write_tensor
 from mricalib.cli import main
 from mricalib.errors import FormatError
 from mricalib.forward import load_mask
+from mricalib.pipeline import StepRecord
 from mricalib.tensorio import MAGIC
 from mricalib.unet import UNetArch, init_weights, load_weights, save_weights
 
@@ -61,8 +63,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
-RECORD_KEYS = ["t", "sigma", "delta", "gamma", "loss_ssl", "loss_reg", "conv_metric",
-               "cg_residual", "cg_iters"]
+RECORD_KEYS = [f.name for f in dataclasses.fields(StepRecord)]
 reports = st.one_of(
     st.binary(max_size=200),
     json_values.map(lambda v: json.dumps(v).encode()),

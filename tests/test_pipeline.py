@@ -10,6 +10,7 @@ from mricalib import (
     PhantomSpec,
     ReconConfig,
     ScorePrior,
+    StepRecord,
     add_noise,
     apply_forward,
     emit_images,
@@ -26,7 +27,7 @@ from mricalib import (
     white_prior,
 )
 from mricalib import pipeline
-from mricalib.errors import InvalidArgumentError
+from mricalib.errors import InvalidArgumentError, NumericError
 from mricalib.unet import UNetArch, UNetScorePrior, init_weights, unet_forward
 
 
@@ -251,6 +252,21 @@ def test_metrics_attached_when_reference_given():
     assert report.psnr is not None and report.ssim is not None
 
 
+@pytest.mark.parametrize("damage, error", [
+    (lambda ref: ref[:16, :16], InvalidArgumentError),
+    (lambda ref: np.where(np.arange(32) == 3, np.nan, ref), NumericError),
+    (np.zeros_like, InvalidArgumentError),
+], ids=["shape", "nan", "zero peak"])
+def test_bad_reference_rejected_before_the_loop(damage, error):
+    """A reference that psnr would reject fails before the prior is evaluated once."""
+    phantom, op, y = _problem(seed=10)
+    prior = _DeltaLog()
+    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False)
+    with pytest.raises(error):
+        reconstruct(y, op, prior, cfg, reference=damage(phantom))
+    assert prior.seen == []
+
+
 # ---------------------------------------------------------------------------
 # ablation harness
 # ---------------------------------------------------------------------------
@@ -293,17 +309,20 @@ def test_ablation_rows_and_determinism():
 def test_trace_columns_shape():
     phantom, op, y = _problem(seed=12)
     cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False)
-    _, report = reconstruct(y, op, white_prior(32, 32), cfg)
-    text = trace_columns(report)
-    lines = [ln for ln in text.strip().splitlines() if not ln.startswith("#")]
+    _, report = reconstruct(y, op, _DeltaLog(), cfg)
+    text = trace_columns(report.records)
+    header, *lines = text.strip().splitlines()
+    names = [f.name for f in dataclasses.fields(StepRecord) if f.name != "delta"]
+    assert header.split() == ["#", *names, "delta_0", "delta_1", "delta_2", "delta_3"]
     assert len(lines) == cfg.steps
+    assert all(len(line.split()) == len(names) + 4 for line in lines)
 
 
 def test_emit_images_outputs(tmp_path):
     phantom, op, y = _problem(seed=13)
     cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False)
-    _, report = reconstruct(y, op, white_prior(32, 32), cfg, reference=phantom)
-    emit_images(report, tmp_path)
+    image, _ = reconstruct(y, op, white_prior(32, 32), cfg, reference=phantom)
+    emit_images(image, phantom, tmp_path)
     for name in ("recon.pgm", "reference.pgm", "error.pgm"):
         assert (tmp_path / name).exists()
     header = (tmp_path / "recon.pgm").read_bytes().split(b"\n", 3)
@@ -312,11 +331,8 @@ def test_emit_images_outputs(tmp_path):
 
 
 def test_error_map_zero_for_perfect_reconstruction(tmp_path):
-    phantom, op, y = _problem(seed=14)
-    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False)
-    _, report = reconstruct(y, op, white_prior(32, 32), cfg, reference=phantom)
-    report.final_image = phantom.copy()
-    emit_images(report, tmp_path)
+    phantom = make_phantom(PhantomSpec(size=32, seed=14))
+    emit_images(phantom.copy(), phantom, tmp_path)
     blob = (tmp_path / "error.pgm").read_bytes()
     payload = blob.split(b"\n", 3)[3]
     assert set(payload) == {0}

@@ -43,6 +43,19 @@ def test_nonpositive_spectrum_rejected():
         GaussianPrior(np.zeros((4, 4)), np.zeros((4, 4)))
 
 
+def test_complex_spectrum_rejected():
+    with pytest.raises(InvalidArgumentError, match="real"):
+        GaussianPrior(np.zeros((4, 4)), np.ones((4, 4), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1j * np.inf])
+def test_non_finite_mean_rejected(bad):
+    mean = np.zeros((4, 4), dtype=np.complex128)
+    mean[1, 2] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        GaussianPrior(mean, np.ones((4, 4)))
+
+
 def test_shape_mismatch_rejected():
     prior = white_prior(8, 8)
     with pytest.raises(InvalidArgumentError):
