@@ -45,7 +45,7 @@ from .regularization import (
     sure_loss,
     update_gamma,
 )
-from .sampler import NoiseSchedule, build_schedule, renoise, tweedie_denoise
+from .sampler import build_schedule, renoise, tweedie_denoise
 from .tensorio import read_tensor, write_tensor
 from .unet import (
     UNetArch,

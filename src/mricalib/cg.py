@@ -91,7 +91,7 @@ def solve_p3(
     non-convergence is not an error: the best iterate and its residual
     are returned for the caller to record.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise InvalidArgumentError("gamma must be >= 0")
     x_dot = np.asarray(x_dot, dtype=np.complex128)
     if gamma == 0:

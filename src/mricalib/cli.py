@@ -73,11 +73,7 @@ def _add_prior_flags(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--prior", choices=("white", "gaussian", "unet"), default=default)
     p.add_argument("--prior-mean", help="mean image tensor of --prior gaussian")
     p.add_argument("--prior-spectrum", help="power spectrum tensor of --prior gaussian")
-    p.add_argument("--weights", help="weights file of --prior unet")
-    p.add_argument("--uncalibrated", action="store_true",
-                   help="run the network prior without calibration hooks")
-    p.add_argument("--band-cutoff", type=float, default=None,
-                   help="override the low/high split radius stored with the weights")
+    p.add_argument("--weights", help="weights file of --prior unet (its .arch sets the band cutoff)")
 
 
 def _add_case_flags(p: argparse.ArgumentParser, coils: int, contrast: float,
@@ -126,10 +122,7 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
     if args.prior == "unet":
         if not args.weights:
             raise InvalidArgumentError("--prior unet needs --weights")
-        weights = load_weights(args.weights)
-        if args.band_cutoff is not None:
-            weights.arch = dataclasses.replace(weights.arch, band_cutoff=args.band_cutoff)
-        return UNetScorePrior(weights, calibratable=not args.uncalibrated)
+        return UNetScorePrior(load_weights(args.weights))
     raise InvalidArgumentError(f"unknown prior {args.prior!r}")
 
 

@@ -23,7 +23,7 @@ def psnr(x: np.ndarray, ref: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; +inf for an exact match."""
     a, r = _magnitudes(x, ref)
     peak = r.max()
-    if peak <= 0:
+    if not peak > 0:
         raise InvalidArgumentError("reference maximum must be positive")
     mse = float(np.mean((a - r) ** 2))
     if mse == 0.0:

@@ -38,9 +38,9 @@ class PhantomSpec:
             raise InvalidArgumentError(f"unknown phantom kind {self.kind!r}")
         if self.size < 8:
             raise InvalidArgumentError("phantom size must be >= 8")
-        if self.contrast_exponent <= 0:
+        if not self.contrast_exponent > 0:
             raise InvalidArgumentError("contrast exponent must be > 0")
-        if self.bias_amplitude < 0 or self.bias_amplitude >= 1:
+        if not 0 <= self.bias_amplitude < 1:
             raise InvalidArgumentError("bias amplitude must lie in [0, 1)")
         if not 0 < self.resolution_scale <= 1:
             raise InvalidArgumentError("resolution scale must lie in (0, 1]")

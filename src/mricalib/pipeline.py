@@ -58,15 +58,9 @@ from .forward import (
 )
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, make_phantom
-from .priors import ScorePrior, validate_delta
+from .priors import ScorePrior, identity_delta
 from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
-from .regularization import (
-    SURE_FORMS,
-    RegAdaptState,
-    convergence_criterion,
-    sure_loss,
-    update_gamma,
-)
+from .regularization import RegAdaptState, convergence_criterion, sure_loss, update_gamma
 from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule, check_settings, one_of, setting
 
 
@@ -79,8 +73,6 @@ class ReconConfig:
     sigma_min: float = setting(0.01, "noise level of the last step", POSITIVE)
     gamma_init: float = setting(1.0, "initial data-fidelity weight (0 turns fidelity off)",
                                 NON_NEGATIVE)
-    delta_init: float = setting(1.0, "initial value of every calibration scalar",
-                                Rule("in [0, 2]", lambda v: not 0 <= v <= 2))
     tau_reg: float = setting(0.001, "early-stop threshold of the weight walk", NON_NEGATIVE)
     window: int = setting(5, "sliding-window length of the early stop", COUNT)
     cg: CGConfig = setting(help="data-fidelity solver", default_factory=CGConfig)
@@ -97,8 +89,6 @@ class ReconConfig:
     seed_noise: int = setting(0, "seed of the renoise transitions", SEED)
     renoise_mode: str = setting("deterministic", "transition to the next noise level",
                                 one_of(*RENOISE_MODES))
-    sure_form: str = setting("product", "form of the randomized risk estimate",
-                             one_of(*SURE_FORMS))
     sure_eps_scale: float = setting(1e-3, "risk probe size relative to max |x|", POSITIVE)
     delta_step: float = setting(0.05, "calibration step size", POSITIVE)
     delta_fd_step: float = setting(0.01, "calibration perturbation size", POSITIVE)
@@ -170,13 +160,9 @@ def reconstruct(
     if reference is not None and not np.abs(reference).max() > 0:
         raise InvalidArgumentError("reference maximum must be positive")  # psnr's rule
 
-    schedule = build_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
-    sigmas = schedule.sigmas
-    layer_count = prior.layer_count
-    delta = validate_delta(np.full(2 * layer_count, cfg.delta_init), layer_count)
-
-    run_fpc = cfg.enable_fpc and layer_count > 0
-    delta_state = DeltaOptState(delta)
+    sigmas = build_schedule(cfg.steps, cfg.sigma_max, cfg.sigma_min)
+    run_fpc = cfg.enable_fpc and prior.layer_count > 0
+    delta_state = DeltaOptState(identity_delta(prior.layer_count))
     reg_state = RegAdaptState(cfg.gamma_init) if cfg.enable_rpa else None
     gamma = cfg.gamma_init
 
@@ -221,11 +207,8 @@ def reconstruct(
             def composite(g, v, _sigma=sigma, _d=delta_state.delta):
                 return one_step_recon(v, _sigma, prior, _d, y, op, g, cfg.cg)
 
-            def loss_fn(g, _sigma=sigma, _eps=eps, _t=t):
-                return sure_loss(
-                    g, x, x_zf, composite, _eps, (cfg.seed_mc, _t),
-                    form=cfg.sure_form, noise_var=_sigma**2,
-                )
+            def loss_fn(g, _eps=eps, _t=t):
+                return sure_loss(g, x, x_zf, composite, _eps, (cfg.seed_mc, _t))
 
             reg_state = update_gamma(reg_state, loss_fn, cfg.gamma_step, cfg.gamma_fd_step)
             gamma = reg_state.gamma

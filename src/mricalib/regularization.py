@@ -4,12 +4,11 @@ The weight's quality is estimated without ground truth by a Monte-Carlo
 randomized probe: one Gaussian direction mu tests how strongly the
 one-step reconstruction map reacts to an epsilon-sized perturbation, and
 the probe is combined with the residual against the zero-filled image.
-The default objective is the product form
+The objective is the product form
 
     L(gamma) = ||x_zf - h(gamma; x)||^2 / (N eps) * mu^T (h(gamma; x + eps mu) - h(gamma; x))
 
-with N the pixel count; a conventional additive form
-residual/N + 2 sigma_n^2 divergence/(N eps) is available behind a flag.
+with N the pixel count.
 
 Updates walk log(gamma) with a derivative-free central difference and
 adaptive-moment smoothing, and stop permanently once a sliding-window
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 
 GAMMA_BOUNDS = (1e-4, 1e4)
-
-SURE_FORMS = ("product", "additive")
 
 
 def _draw_direction(like: np.ndarray, seed) -> np.ndarray:
@@ -50,7 +47,7 @@ def mc_divergence(
     trace of the real representation), which unit tests pin against an
     exact trace oracle.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidArgumentError("eps must be > 0")
     x = np.asarray(x)
     mu = _draw_direction(x, seed)
@@ -66,13 +63,9 @@ def sure_loss(
     h: Callable[[float, np.ndarray], np.ndarray],
     eps: float,
     seed,
-    form: str = "product",
-    noise_var: float = 1.0,
 ) -> float:
     """Monte-Carlo risk estimate of the composite map h(gamma; .) at x_t."""
-    if form not in SURE_FORMS:
-        raise InvalidArgumentError(f"unknown form {form!r}, expected one of {SURE_FORMS}")
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidArgumentError("eps must be > 0")
     x_t = np.asarray(x_t)
     base = h(gamma, x_t)
@@ -82,10 +75,7 @@ def sure_loss(
     resid = x_zf - base
     resid_sq = float(np.real(np.vdot(resid, resid)))
     div = mc_divergence(lambda v: h(gamma, v), x_t, eps, seed, h_at_x=base)
-    if form == "product":
-        val = resid_sq / (n * eps) * div
-    else:
-        val = resid_sq / n + 2.0 * noise_var * div / (n * eps)
+    val = resid_sq / (n * eps) * div
     if not np.isfinite(val):
         raise NumericError("risk estimate evaluated to a non-finite value")
     return val

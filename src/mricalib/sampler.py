@@ -10,8 +10,6 @@ a seeded stochastic variant behind a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
@@ -20,35 +18,21 @@ from .priors import ScorePrior
 RENOISE_MODES = ("deterministic", "stochastic")
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    sigmas: np.ndarray  # sigma_1 .. sigma_T, strictly increasing, all positive
-
-    def __post_init__(self):
-        s = np.asarray(self.sigmas, dtype=np.float64)
-        object.__setattr__(self, "sigmas", s)
-        if s.ndim != 1 or s.size < 1:
-            raise InvalidArgumentError("schedule must be a nonempty 1-D array")
-        if not np.all(s > 0):
-            raise InvalidArgumentError("all noise levels must be positive")
-        if s.size > 1 and not np.all(np.diff(s) > 0):
-            raise InvalidArgumentError("noise levels must be strictly monotone")
-
-    @property
-    def steps(self) -> int:
-        return self.sigmas.size
-
-
-def build_schedule(steps: int, sigma_max: float = 1.0, sigma_min: float = 0.01) -> NoiseSchedule:
-    """Geometric ladder from sigma_min (t=1) up to sigma_max (t=T)."""
-    if steps < 1:
+def build_schedule(steps: int, sigma_max: float = 1.0, sigma_min: float = 0.01) -> np.ndarray:
+    """Geometric ladder sigma_1 .. sigma_T (float64) from sigma_min (t=1) up to sigma_max (t=T)."""
+    if not steps >= 1:
         raise InvalidArgumentError("steps must be >= 1")
-    if not sigma_max > sigma_min > 0:
-        raise InvalidArgumentError(f"need sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")
+    if not np.inf > sigma_max > sigma_min > 0:
+        raise InvalidArgumentError(
+            f"need inf > sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}"
+        )
     if steps == 1:
-        return NoiseSchedule(np.array([sigma_max]))
+        return np.array([float(sigma_max)])
     t = np.arange(steps, dtype=np.float64)
-    return NoiseSchedule(sigma_min * (sigma_max / sigma_min) ** (t / (steps - 1)))
+    sigmas = sigma_min * (sigma_max / sigma_min) ** (t / (steps - 1))
+    if not np.all(np.diff(sigmas) > 0):  # adjacent levels rounded to one float
+        raise InvalidArgumentError("noise levels must be strictly increasing")
+    return sigmas
 
 
 def tweedie_denoise(
@@ -59,7 +43,7 @@ def tweedie_denoise(
 ) -> np.ndarray:
     """Posterior-mean update x + sigma^2 * s(x, sigma)."""
     x = np.asarray(x, dtype=np.complex128)
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidArgumentError("sigma must be >= 0")
     if sigma == 0:
         return x.copy()
@@ -85,9 +69,9 @@ def renoise(
     """
     if mode not in RENOISE_MODES:
         raise InvalidArgumentError(f"unknown renoise mode {mode!r}")
-    if sigma_next < 0 or sigma_next > sigma_curr:
+    if not 0 <= sigma_next <= sigma_curr:
         raise InvalidArgumentError(
-            f"need 0 <= sigma_next <= sigma_curr, got {sigma_next} > {sigma_curr}"
+            f"need 0 <= sigma_next <= sigma_curr, got {sigma_next}, {sigma_curr}"
         )
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     if sigma_next == 0:

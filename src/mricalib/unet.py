@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
 from .priors import ScorePrior, validate_delta
-from .sampler import NoiseSchedule, build_schedule
+from .sampler import build_schedule
 from .tensorio import read_tensor, write_tensor
 
 
@@ -72,7 +72,7 @@ class UNetArch:
     def layer_count(self) -> int:
         return len(self.widths)
 
-    def sigma_ladder(self) -> NoiseSchedule:
+    def sigma_ladder(self) -> np.ndarray:
         return build_schedule(self.emb_steps, self.sigma_max, self.sigma_min)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -256,7 +256,7 @@ def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict 
     want_cache = cache is not None
 
     # precondition: keep activations O(1) across noise levels
-    sigma_t = arch.sigma_ladder().sigmas[t_idx]
+    sigma_t = arch.sigma_ladder()[t_idx]
     x = x / np.sqrt(1.0 + sigma_t**2)[:, None, None, None]
 
     skips = []
@@ -448,7 +448,7 @@ class UNetScorePrior(ScorePrior):
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
         self.weights = weights
         self.calibratable = calibratable
-        self._sigmas = weights.arch.sigma_ladder().sigmas
+        self._sigmas = weights.arch.sigma_ladder()
         self._encoded: _EncoderState | None = None
         self._outputs: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
@@ -606,7 +606,7 @@ def dsm_loss(
     if draws_per_image < 1:
         raise InvalidArgumentError(f"draws_per_image must be >= 1, got {draws_per_image}")
     arch = weights.arch
-    sigmas = arch.sigma_ladder().sigmas
+    sigmas = arch.sigma_ladder()
     rng = np.random.default_rng(seed)
     total, count = 0.0, 0
     for img in images:
@@ -650,7 +650,7 @@ def train_toy_denoiser(
     if epochs == 0:
         return weights
 
-    sigmas = arch.sigma_ladder().sigmas
+    sigmas = arch.sigma_ladder()
     stacked = [np.stack([np.asarray(im).real, np.asarray(im).imag]) for im in images]
     rng = np.random.default_rng((seed, 1))
     n = len(stacked)

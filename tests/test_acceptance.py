@@ -121,7 +121,7 @@ def test_criterion_3_tweedie_exactness():
     prior = white_prior(32, 32)
     x = _rand_image(rng, 32)
     worst = 0.0
-    for sigma in build_schedule(100, 1.0, 0.01).sigmas:
+    for sigma in build_schedule(100, 1.0, 0.01):
         out = tweedie_denoise(x, float(sigma), prior)
         err = float(np.max(np.abs(out - x / (1 + sigma**2))))
         worst = max(worst, err)
@@ -177,7 +177,7 @@ def test_criterion_5_calibration_identity():
     sens = synth_coil_maps(2, n, n, seed=9)
     op = ForwardOperator(mask, sens)
     y = apply_forward(phantom, op)
-    cfg = ReconConfig(steps=10, enable_fpc=False, enable_rpa=False, delta_init=1.0,
+    cfg = ReconConfig(steps=10, enable_fpc=False, enable_rpa=False,
                       cg=CGConfig(max_iters=15, tol=1e-9))
 
     # analytic prior: the calibration vector is ignored entirely

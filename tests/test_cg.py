@@ -148,3 +148,9 @@ def test_negative_gamma_rejected():
     op, x_dot, y = _setup()
     with pytest.raises(InvalidArgumentError):
         solve_p3(x_dot, y, op, -1.0, CGConfig())
+
+
+def test_nan_gamma_rejected():
+    op, x_dot, y = _setup()
+    with pytest.raises(InvalidArgumentError):
+        solve_p3(x_dot, y, op, np.nan, CGConfig())

@@ -174,8 +174,9 @@ def test_cli_entrypoint_runs():
 
 
 def test_reconstruct_with_network_prior(tmp_path):
+    from mricalib import ForwardOperator, load_mask, reconstruct
     from mricalib.phantom import PhantomSpec, make_phantom
-    from mricalib.unet import UNetArch, save_weights, train_toy_denoiser
+    from mricalib.unet import UNetArch, UNetScorePrior, load_weights, save_weights, train_toy_denoiser
 
     sim_dir = tmp_path / "sim"
     _run(["simulate", "--out-dir", str(sim_dir), "--size", "32", "--coils", "2"])
@@ -189,8 +190,7 @@ def test_reconstruct_with_network_prior(tmp_path):
     code = _run([
         "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
         "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(out),
-        "--prior", "unet", "--weights", str(wpath), "--steps", "4",
-        "--band-cutoff", "0.3", "--cg-iters", "8",
+        "--prior", "unet", "--weights", str(wpath), "--steps", "4", "--cg-iters", "8",
     ])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
@@ -201,11 +201,34 @@ def test_reconstruct_with_network_prior(tmp_path):
         "reconstruct", "--kspace", str(sim_dir / "kspace.bt"), "--mask", str(sim_dir / "mask.bt"),
         "--sens", str(sim_dir / "sens.bt"), "--out-dir", str(out2),
         "--prior", "unet", "--weights", str(wpath), "--steps", "4",
-        "--uncalibrated", "--cg-iters", "8",
+        "--disable-fpc", "--cg-iters", "8",
     ])
     assert code == 0
     report2 = json.loads((out2 / "report.json").read_text())
-    assert report2["records"][0]["delta"] == []
+    assert report2["records"][0]["delta"] == [1.0] * 4
+    # calibration off runs the uncalibrated network bit for bit
+    y = read_tensor(sim_dir / "kspace.bt")
+    op = ForwardOperator(load_mask(sim_dir / "mask.bt"), read_tensor(sim_dir / "sens.bt"))
+    cfg = ReconConfig(steps=4, cg=CGConfig(max_iters=8), enable_fpc=False)
+    x_raw, _ = reconstruct(y, op, UNetScorePrior(load_weights(wpath), calibratable=False), cfg)
+    assert read_tensor(out2 / "recon.bt").tobytes() == x_raw.tobytes()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--uncalibrated"],
+    ["--band-cutoff", "0.3"],
+    ["--delta-init", "1.5"],
+    ["--sure-form", "additive"],
+], ids=lambda extra: " ".join(extra))
+def test_removed_flag_is_rejected(tmp_path, sim16, extra):
+    """Calibration is switched off only by --disable-fpc; the band cutoff comes from the weights."""
+    with pytest.raises(SystemExit) as exc:
+        _run([
+            "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+            "--sens", str(sim16 / "sens.bt"), "--out-dir", str(tmp_path / "o"), "--steps", "3",
+        ] + extra)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_numeric_error_exits_3(tmp_path):
@@ -254,7 +277,6 @@ SETTING_FLAGS = [
     (["--sigma-max", "0.8"], "sigma_max", 0.8),
     (["--sigma-min", "0.02"], "sigma_min", 0.02),
     (["--gamma-init", "2.5"], "gamma_init", 2.5),
-    (["--delta-init", "1.5"], "delta_init", 1.5),
     (["--tau-reg", "0.01"], "tau_reg", 0.01),
     (["--window", "3"], "window", 3),
     (["--cg-iters", "9"], "cg.max_iters", 9),
@@ -268,7 +290,6 @@ SETTING_FLAGS = [
     (["--seed-mc", "6"], "seed_mc", 6),
     (["--seed-noise", "7"], "seed_noise", 7),
     (["--renoise-mode", "stochastic"], "renoise_mode", "stochastic"),
-    (["--sure-form", "additive"], "sure_form", "additive"),
     (["--sure-eps-scale", "0.01"], "sure_eps_scale", 0.01),
     (["--delta-step", "0.1"], "delta_step", 0.1),
     (["--delta-fd-step", "0.02"], "delta_fd_step", 0.02),
@@ -323,6 +344,13 @@ def test_bad_run_setting_exits_2(tmp_path, capsys, sim16, extra):
 def test_simulate_nan_accel_exits_2(tmp_path):
     assert _run(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "16",
                  "--accel", "nan"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--contrast", "--bias-amplitude"])
+def test_simulate_nan_phantom_shift_exits_2(tmp_path, capsys, flag):
+    assert _run(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "16", flag, "nan"]) == 2
+    assert "argument error" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 VALID_RECORD = {"t": 1, "sigma": 0.1, "delta": [1.0, 0.5], "gamma": 1.0, "loss_ssl": None,

@@ -31,6 +31,11 @@ def test_psnr_rejects_zero_reference():
         psnr(np.ones((4, 4)), np.zeros((4, 4)))
 
 
+def test_psnr_rejects_nan_reference():
+    with pytest.raises(InvalidArgumentError):
+        psnr(np.ones((4, 4)), np.full((4, 4), np.nan))
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
         psnr(np.ones((4, 4)), np.ones((5, 5)))

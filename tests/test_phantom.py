@@ -64,4 +64,8 @@ def test_invalid_specs_rejected():
     with pytest.raises(InvalidArgumentError):
         PhantomSpec(bias_amplitude=1.0)
     with pytest.raises(InvalidArgumentError):
+        PhantomSpec(contrast_exponent=float("nan"))
+    with pytest.raises(InvalidArgumentError):
+        PhantomSpec(bias_amplitude=float("nan"))
+    with pytest.raises(InvalidArgumentError):
         PhantomSpec(resolution_scale=1.5)

@@ -64,7 +64,7 @@ def test_toggles_freeze_their_parameters():
     phantom, op, y = _problem(seed=5)
     arch = UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8)
     prior = UNetScorePrior(init_weights(arch, seed=1))
-    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False, delta_init=1.0)
+    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=False)
     _, report = reconstruct(y, op, prior, cfg)
     for rec in report.records:
         assert np.all(rec.delta == 1.0)
@@ -85,21 +85,20 @@ class _DeltaLog(ScorePrior):
         return -x / (1.0 + sigma**2)
 
 
-@pytest.mark.parametrize("delta_init", [1.0, 0.5])
-def test_frozen_vector_reaches_prior_unchanged(delta_init):
+def test_frozen_vector_reaches_prior_unchanged():
     phantom, op, y = _problem(seed=19)
     prior = _DeltaLog()
-    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True, delta_init=delta_init)
+    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True)
     reconstruct(y, op, prior, cfg)
     assert len(prior.seen) > cfg.steps  # the main denoise and the risk probes
     for d in prior.seen:
-        assert np.array_equal(d, np.full(4, delta_init))
+        assert np.array_equal(d, np.ones(4))
 
 
 def test_calibration_off_runs_the_uncalibrated_network():
     phantom, op, y = _problem(seed=20)
     weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=7)
-    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True, delta_init=1.0)
+    cfg = ReconConfig(**FAST, enable_fpc=False, enable_rpa=True)
     x_cal, _ = reconstruct(y, op, UNetScorePrior(weights, calibratable=True), cfg)
     x_raw, _ = reconstruct(y, op, UNetScorePrior(weights, calibratable=False), cfg)
     assert x_cal.tobytes() == x_raw.tobytes()
@@ -140,7 +139,7 @@ def test_walk_settings_reach_the_walks():
     _, report = reconstruct(y, op, prior, cfg)
     first = report.records[0]
     # Adam's first step has size step_size in every coordinate whose gradient is nonzero
-    assert np.allclose(np.abs(first.delta - cfg.delta_init), cfg.delta_step, atol=1e-6)
+    assert np.allclose(np.abs(first.delta - 1.0), cfg.delta_step, atol=1e-6)
     assert abs(np.log(first.gamma / cfg.gamma_init)) == pytest.approx(cfg.gamma_step, abs=1e-9)
     # any finite convergence measure is below 1e6: the walk stops once two windows have filled
     assert report.stopped_at == cfg.steps - 2 * cfg.window + 1
@@ -212,7 +211,7 @@ class _FreshUNetPrior(ScorePrior):
     def __init__(self, weights):
         self.weights = weights
         self.layer_count = weights.arch.layer_count
-        self._sigmas = weights.arch.sigma_ladder().sigmas
+        self._sigmas = weights.arch.sigma_ladder()
 
     def evaluate(self, x, sigma, delta=None):
         idx = int(np.argmin(np.abs(self._sigmas - sigma)))

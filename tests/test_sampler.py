@@ -8,17 +8,16 @@ from mricalib.priors import ScorePrior
 
 
 def test_schedule_default_length():
-    assert build_schedule(100).steps == 100
+    assert build_schedule(100).shape == (100,)
 
 
 def test_schedule_single_step_is_sigma_max():
-    s = build_schedule(1, sigma_max=2.0, sigma_min=0.5)
-    assert s.sigmas.tolist() == [2.0]
+    assert build_schedule(1, sigma_max=2.0, sigma_min=0.5).tolist() == [2.0]
 
 
 def test_schedule_geometric_values():
-    s = build_schedule(3, sigma_max=1.0, sigma_min=0.01)
-    assert np.allclose(s.sigmas, [0.01, 0.1, 1.0], rtol=1e-12)
+    assert np.allclose(build_schedule(3, sigma_max=1.0, sigma_min=0.01), [0.01, 0.1, 1.0],
+                       rtol=1e-12)
 
 
 def test_schedule_invalid_bounds():
@@ -26,6 +25,11 @@ def test_schedule_invalid_bounds():
         build_schedule(10, sigma_max=0.1, sigma_min=0.5)
     with pytest.raises(InvalidArgumentError):
         build_schedule(0)
+    for sigma_max, sigma_min in ((np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan)):
+        with pytest.raises(InvalidArgumentError):
+            build_schedule(10, sigma_max=sigma_max, sigma_min=sigma_min)
+    with pytest.raises(InvalidArgumentError):  # adjacent levels round to one float
+        build_schedule(10, sigma_max=np.nextafter(0.5, 1.0), sigma_min=0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -36,9 +40,9 @@ def test_schedule_invalid_bounds():
 )
 def test_schedule_monotone_property(steps, sigma_min, ratio):
     s = build_schedule(steps, sigma_max=sigma_min * ratio, sigma_min=sigma_min)
-    assert s.steps == steps
-    assert np.all(s.sigmas > 0)
-    assert np.all(np.diff(s.sigmas) > 0)
+    assert s.dtype == np.float64 and s.shape == (steps,)
+    assert np.all(s > 0)
+    assert np.all(np.diff(s) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +58,7 @@ def test_tweedie_white_prior_exact_shrinkage():
     rng = np.random.default_rng(0)
     x = _rand_image(rng)
     prior = white_prior(16, 16)
-    for sigma in build_schedule(100).sigmas:
+    for sigma in build_schedule(100):
         out = tweedie_denoise(x, float(sigma), prior)
         assert np.max(np.abs(out - x / (1 + sigma**2))) <= 1e-12
 
@@ -82,6 +86,16 @@ def test_tweedie_rejects_nonfinite_score():
 
     with pytest.raises(NumericError):
         tweedie_denoise(np.zeros((4, 4), dtype=complex), 0.5, BadPrior())
+
+
+@pytest.mark.parametrize("sigma", [-0.1, np.nan])
+def test_tweedie_rejects_bad_sigma(sigma):
+    class ZeroPrior(ScorePrior):  # checks no sigma itself
+        def evaluate(self, x, sigma, delta=None):
+            return np.zeros_like(x)
+
+    with pytest.raises(InvalidArgumentError):
+        tweedie_denoise(np.zeros((4, 4), dtype=complex), sigma, ZeroPrior())
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +136,21 @@ def test_renoise_order_violation_rejected():
         renoise(x, x, 0.6, 0.5)
 
 
+@pytest.mark.parametrize("sigma_next, sigma_curr", [(np.nan, 1.0), (0.5, np.nan), (-0.1, 1.0)])
+def test_renoise_nan_level_rejected(sigma_next, sigma_curr):
+    x = np.ones((4, 4), dtype=complex)
+    with pytest.raises(InvalidArgumentError):
+        renoise(x, 2 * x, sigma_next, sigma_curr)
+
+
 def test_full_reverse_pass_converges_to_tight_prior_mean():
     """With a near-degenerate prior the reverse flow lands on the mean."""
     rng = np.random.default_rng(5)
     mu = _rand_image(rng, 16)
     prior = GaussianPrior(mu, np.full((16, 16), 1e-10))
-    schedule = build_schedule(100, sigma_max=1.0, sigma_min=1e-3)
-    sigmas = schedule.sigmas
+    sigmas = build_schedule(100, sigma_max=1.0, sigma_min=1e-3)
     x = sigmas[-1] * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    for t in range(schedule.steps, 0, -1):
+    for t in range(sigmas.size, 0, -1):
         x_hat = tweedie_denoise(x, float(sigmas[t - 1]), prior)
         sigma_next = float(sigmas[t - 2]) if t >= 2 else 0.0
         x = renoise(x_hat, x, sigma_next, float(sigmas[t - 1]))

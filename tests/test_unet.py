@@ -164,7 +164,7 @@ def test_identity_vector_is_the_uncalibrated_network():
     w = init_weights(C8, seed=16)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
     x = _rand_image(rng, 32)
-    sigma = float(C8.sigma_ladder().sigmas[7])
+    sigma = float(C8.sigma_ladder()[7])
     assert np.array_equal(unet_forward(x, 7, np.ones(4), w), unet_forward(x, 7, None, w))
     calibrated = UNetScorePrior(w).evaluate(x, sigma, np.ones(4))
     assert np.array_equal(calibrated, UNetScorePrior(w).evaluate(x, sigma, None))
@@ -224,7 +224,7 @@ def _reference_forward(x, t, delta, weights):
     def conv_relu(h, name):
         return np.maximum(_ref_conv2d(h, P[f"{name}.w"], P[f"{name}.b"])[0], 0.0)
 
-    sigma = arch.sigma_ladder().sigmas[[t]]
+    sigma = arch.sigma_ladder()[[t]]
     h = np.stack([x.real, x.imag])[None] / np.sqrt(1.0 + sigma**2)[:, None, None, None]
     skips = []
     for i in range(arch.layer_count):
@@ -251,7 +251,7 @@ def test_split_decoder_matches_concatenated_form():
     w = init_weights(arch, seed=14)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
     x = _rand_image(rng)
-    sigma = float(arch.sigma_ladder().sigmas[2])
+    sigma = float(arch.sigma_ladder()[2])
     prior = UNetScorePrior(w)
 
     assert np.array_equal(unet_forward(x, 2, None, w), _reference_forward(x, 2, None, w))
@@ -416,7 +416,7 @@ def test_prior_adapter_tweedie_consistency():
     prior = UNetScorePrior(w)
     assert prior.layer_count == 2
     x = _rand_image(rng)
-    sigma = float(w.arch.sigma_ladder().sigmas[3])
+    sigma = float(w.arch.sigma_ladder()[3])
     out = tweedie_denoise(x, sigma, prior, np.ones(4))
     eps_hat = unet_forward(x, 3, np.ones(4), w)
     assert np.allclose(out, x - sigma * eps_hat, atol=1e-12)
@@ -453,7 +453,7 @@ def test_memoized_evaluate_matches_fresh_forward():
     arch = UNetArch(widths=(3, 4, 4), bottleneck=5, emb_steps=6)
     w = init_weights(arch, seed=12)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
-    sigmas = arch.sigma_ladder().sigmas
+    sigmas = arch.sigma_ladder()
     prior = UNetScorePrior(w)
 
     def check(x, sigma, delta):
