@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cg import CGConfig, solve_p3
+from .cg import CGConfig, CGResult, solve_p3
 from .errors import InvalidArgumentError, NumericError
 from .forward import ForwardOperator, SamplingMask, apply_forward
 from .priors import ScorePrior, clamp_delta
@@ -76,14 +76,14 @@ def one_step_recon(
     sigma: float,
     prior: ScorePrior,
     delta: np.ndarray | None,
-    y: np.ndarray,
+    x_adj: np.ndarray,
     op: ForwardOperator,
     fidelity_weight: float,
     cg_cfg: CGConfig,
-) -> np.ndarray:
-    """One denoise step followed by one data-fidelity solve against (y, op)."""
+) -> CGResult:
+    """One denoise step followed by one data-fidelity solve; x_adj is Aᴴy of the set."""
     x_dot = tweedie_denoise(x, sigma, prior, delta)
-    return solve_p3(x_dot, y, op, fidelity_weight, cg_cfg).x
+    return solve_p3(x_dot, x_adj, op, fidelity_weight, cg_cfg)
 
 
 def ssl_loss(
@@ -92,7 +92,7 @@ def ssl_loss(
     sigma: float,
     tau: float,
     prior: ScorePrior,
-    y_lambda: np.ndarray,
+    x_adj_lambda: np.ndarray,
     op_lambda: ForwardOperator,
     y_gamma: np.ndarray,
     op_gamma: ForwardOperator,
@@ -103,19 +103,19 @@ def ssl_loss(
 
     Returns tau * || y_held - A_held f(delta; x) ||^2 / || y_held ||^2,
     i.e. tau/2 * ||residual||^2 normalized by 1/2 * ||y_held||^2, where f
-    uses only the reconstruction-set measurements.  x_lambda must not
-    carry information from the held-out set either, so the held-out
-    residual probes how well the calibrated prior generalizes.  A
-    held-out set without energy leaves nothing to score and raises
-    NumericError.
+    sees the reconstruction-set measurements only, through their Aᴴy
+    x_adj_lambda.  x_lambda must not carry information from the held-out
+    set either, so the held-out residual probes how well the calibrated
+    prior generalizes.  A held-out set without energy leaves nothing to
+    score and raises NumericError.
     """
     if not tau > 0:
         raise InvalidArgumentError("tau must be > 0")
     held_energy = float(np.real(np.vdot(y_gamma, y_gamma)))
     if not held_energy > 0:
         raise NumericError("held-out k-space has no energy to normalize the loss by")
-    x_hat = one_step_recon(x_lambda, sigma, prior, delta, y_lambda, op_lambda,
-                           fidelity_weight, cg_cfg)
+    x_hat = one_step_recon(x_lambda, sigma, prior, delta, x_adj_lambda, op_lambda,
+                           fidelity_weight, cg_cfg).x
     resid = y_gamma - apply_forward(x_hat, op_gamma)
     val = tau * float(np.real(np.vdot(resid, resid))) / held_energy
     if not np.isfinite(val):

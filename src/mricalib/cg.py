@@ -9,9 +9,9 @@ warm-started at x_dot.  The operator is well conditioned (eigenvalues in
 [1, 1 + gamma * ||A||^2]) so a modest iteration budget suffices inside an
 outer loop; callers that need oracle-grade accuracy pass a tighter config.
 
-Each solve builds AᴴA once with forward.normal_operator, one path for
-every mask (sub-column readout decoupling), within 1e-13 relative of
-apply_adjoint(apply_forward(v)).
+The caller passes Aᴴy, computed once per measurement set.  Each solve
+builds AᴴA once with forward.normal_operator, one path for every mask
+(sub-column readout decoupling), within 1e-13 relative of Aᴴ(A v).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .forward import ForwardOperator, apply_adjoint, normal_operator
+from .forward import ForwardOperator, normal_operator
 from .settings import COUNT, POSITIVE, check_settings, setting
 
 
@@ -48,7 +48,7 @@ def cg_solve(
     x0: np.ndarray,
     cfg: CGConfig,
 ) -> CGResult:
-    """Plain CG; raises NumericError on a non-HPD breakdown (pᴴOp p <= 0)."""
+    """Plain CG; raises NumericError on a breakdown (pᴴOp p not > 0) or a non-finite residual."""
     rhs = np.asarray(rhs)
     b_norm = float(np.linalg.norm(rhs))
     if not np.isfinite(b_norm):
@@ -62,10 +62,10 @@ def cg_solve(
     rs = float(np.real(np.vdot(r, r)))
     residual = np.sqrt(rs) / b_norm
     iters = 0
-    while iters < cfg.max_iters and residual > cfg.tol:
+    while np.isfinite(residual) and iters < cfg.max_iters and residual > cfg.tol:
         op_p = operator(p)
         p_op_p = float(np.real(np.vdot(p, op_p)))
-        if p_op_p <= 0.0:
+        if not p_op_p > 0.0:  # NaN fails too
             raise NumericError(f"CG breakdown: pᴴOp(p) = {p_op_p:g}, operator not HPD")
         alpha = rs / p_op_p
         x = x + alpha * p
@@ -75,17 +75,19 @@ def cg_solve(
         rs = rs_new
         iters += 1
         residual = np.sqrt(rs) / b_norm
+    if not np.isfinite(residual):
+        raise NumericError(f"CG residual is not finite after {iters} iterations")
     return CGResult(x, residual, iters)
 
 
 def solve_p3(
     x_dot: np.ndarray,
-    y: np.ndarray,
+    x_adj: np.ndarray,
     op: ForwardOperator,
     gamma: float,
     cfg: CGConfig,
 ) -> CGResult:
-    """Proximal data-fidelity solve (gamma AᴴA + I) x = gamma Aᴴy + x_dot.
+    """Proximal data-fidelity solve (gamma AᴴA + I) x = gamma x_adj + x_dot, x_adj = Aᴴy.
 
     gamma = 0 short-circuits to the proximity-only answer x_dot.  CG
     non-convergence is not an error: the best iterate and its residual
@@ -93,12 +95,14 @@ def solve_p3(
     """
     if not gamma >= 0:
         raise InvalidArgumentError("gamma must be >= 0")
+    if np.shape(x_adj) != op.shape:
+        raise InvalidArgumentError(f"adjoint image shape {np.shape(x_adj)} is not {op.shape}")
     x_dot = np.asarray(x_dot, dtype=np.complex128)
     if gamma == 0:
         return CGResult(x_dot.copy(), 0.0, 0)
 
-    rhs = gamma * apply_adjoint(y, op) + x_dot
-    gram = normal_operator(op)  # after rhs: its buffers and apply_adjoint's temporaries never coexist
+    rhs = gamma * x_adj + x_dot
+    gram = normal_operator(op)
 
     def normal_op(v: np.ndarray) -> np.ndarray:
         return gamma * gram(v) + v

@@ -40,7 +40,7 @@ def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     arguments.
     """
     a, r = _magnitudes(x, ref)
-    if r.max() <= 0:
+    if not r.max() > 0:  # NaN fails too
         raise InvalidArgumentError("reference maximum must be positive")
     dynamic_range = max(a.max(), r.max()) - min(a.min(), r.min())
     if dynamic_range == 0:

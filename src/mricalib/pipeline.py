@@ -7,13 +7,15 @@ Each reverse step runs, in order:
 2. that iterate's own step (when calibration is enabled): the denoise
    step with the updated calibration vector and a data-fidelity solve
    against the reconstruction-set measurements only;
-3. the denoise step of the main iterate;
-4. its data-fidelity solve against all measurements at the current
-   weight gamma;
-5. the regularization-weight update with its sliding-window stop (when
+3. the main iterate's denoise step and data-fidelity solve against all
+   measurements at the current weight gamma;
+4. the regularization-weight update with its sliding-window stop (when
    enabled);
-6. the transition of both iterates to the next noise level, with the
+5. the transition of both iterates to the next noise level, with the
    same renoise seed.
+
+Each denoise-and-solve is one calibration.one_step_recon; its solve
+reads a measurement set through Aᴴy, computed once before the loop.
 
 The reconstruction-set-only iterate keeps the held-out k-space out of
 the calibration input, at one extra prior evaluation and CG solve a
@@ -46,7 +48,7 @@ from .calibration import (
     ssl_loss,
     update_delta,
 )
-from .cg import CGConfig, solve_p3
+from .cg import CGConfig
 from .errors import InvalidArgumentError, NumericError
 from .forward import (
     ForwardOperator,
@@ -59,7 +61,7 @@ from .forward import (
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, identity_delta
-from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
+from .sampler import RENOISE_MODES, build_schedule, renoise
 from .regularization import RegAdaptState, convergence_criterion, sure_loss, update_gamma
 from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule, check_settings, one_of, setting
 
@@ -169,7 +171,7 @@ def reconstruct(
     if run_fpc:
         part = partition_mask(op.mask, cfg.holdout_fraction, cfg.seed_partition)
         op_l, op_g = op.with_mask(part.lambda_bits), op.with_mask(part.gamma_bits)
-        y_l, y_g = y * part.lambda_bits[None], y * part.gamma_bits[None]
+        x_zf_l, y_g = apply_adjoint(y, op_l), y * part.gamma_bits[None]
     x_zf = apply_adjoint(y, op)
 
     rng = np.random.default_rng(cfg.seed_init)
@@ -185,19 +187,16 @@ def reconstruct(
         loss_ssl = None
         if run_fpc:
             def objective(d, _sigma=sigma, _w=gamma, _xl=x_lambda):
-                return (
-                    ssl_loss(d, _xl, _sigma, cfg.tau_ssl, prior, y_l, op_l, y_g, op_g, _w, cfg.cg)
-                    + delta_penalty(d)
-                )
+                loss = ssl_loss(d, _xl, _sigma, cfg.tau_ssl, prior, x_zf_l, op_l, y_g, op_g,
+                                _w, cfg.cg)
+                return loss + delta_penalty(d)
 
             delta_state = update_delta(delta_state, objective, cfg.delta_step, cfg.delta_fd_step)
             loss_ssl = delta_state.loss_history[-1]
             x_lambda_hat = one_step_recon(x_lambda, sigma, prior, delta_state.delta,
-                                          y_l, op_l, gamma, cfg.cg)
+                                          x_zf_l, op_l, gamma, cfg.cg).x
 
-        x_dot = tweedie_denoise(x, sigma, prior, delta_state.delta)
-        p3 = solve_p3(x_dot, y, op, gamma, cfg.cg)
-        x_hat = p3.x
+        p3 = one_step_recon(x, sigma, prior, delta_state.delta, x_zf, op, gamma, cfg.cg)
 
         loss_reg = None
         conv = None
@@ -205,7 +204,7 @@ def reconstruct(
             eps = max(cfg.sure_eps_scale * float(np.max(np.abs(x))), 1e-12)
 
             def composite(g, v, _sigma=sigma, _d=delta_state.delta):
-                return one_step_recon(v, _sigma, prior, _d, y, op, g, cfg.cg)
+                return one_step_recon(v, _sigma, prior, _d, x_zf, op, g, cfg.cg).x
 
             def loss_fn(g, _eps=eps, _t=t):
                 return sure_loss(g, x, x_zf, composite, _eps, (cfg.seed_mc, _t))
@@ -222,7 +221,7 @@ def reconstruct(
         if run_fpc:
             x_lambda = renoise(x_lambda_hat, x_lambda, sigma_next, sigma, cfg.renoise_mode,
                                seed=(cfg.seed_noise, t))
-        x = renoise(x_hat, x, sigma_next, sigma, cfg.renoise_mode, seed=(cfg.seed_noise, t))
+        x = renoise(p3.x, x, sigma_next, sigma, cfg.renoise_mode, seed=(cfg.seed_noise, t))
 
         records.append(
             StepRecord(

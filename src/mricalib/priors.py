@@ -57,8 +57,6 @@ class GaussianPrior(ScorePrior):
         if not np.all(self.spectrum > 0):
             raise InvalidArgumentError("prior spectrum must be strictly positive")
 
-    layer_count = 0
-
     def evaluate(self, x, sigma, delta=None):
         return gaussian_score(x, sigma, self)
 

@@ -89,9 +89,10 @@ def test_criterion_2_cg_oracle():
         x_dot = _rand_image(rng, n)
         y = (rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n)))
         y *= mask.bits[None]
-        res = solve_p3(x_dot, y, op, gamma, cfg)
+        x_adj = apply_adjoint(y, op)
+        res = solve_p3(x_dot, x_adj, op, gamma, cfg)
 
-        rhs = gamma * apply_adjoint(y, op) + x_dot
+        rhs = gamma * x_adj + x_dot
         lhs = gamma * apply_adjoint(apply_forward(res.x, op), op) + res.x
         rel_res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
         worst_res = max(worst_res, rel_res)

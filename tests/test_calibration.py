@@ -6,6 +6,7 @@ from mricalib import (
     CGConfig,
     DeltaOptState,
     ForwardOperator,
+    apply_adjoint,
     apply_forward,
     delta_penalty,
     generate_mask,
@@ -84,60 +85,62 @@ def _ssl_setup(n=32, coils=2, seed=0):
     part = partition_mask(mask, 0.25, seed=seed + 2)
     op_l = op.with_mask(part.lambda_bits)
     op_g = op.with_mask(part.gamma_bits)
-    y_l = y * part.lambda_bits[None]
+    x_adj_l = apply_adjoint(y, op_l)
     y_g = y * part.gamma_bits[None]
-    return phantom, op_l, op_g, y_l, y_g
+    return phantom, op_l, op_g, x_adj_l, y_g
 
 
 def test_ssl_loss_zero_when_heldout_matches():
-    phantom, op_l, op_g, y_l, y_g = _ssl_setup()
+    phantom, op_l, op_g, x_adj_l, y_g = _ssl_setup()
     prior = white_prior(32, 32)
     # evaluate the one-step map, then hand it measurements that match exactly
-    x_hat = one_step_recon(phantom, 0.05, prior, None, y_l, op_l, 2.0, CGConfig())
+    x_hat = one_step_recon(phantom, 0.05, prior, None, x_adj_l, op_l, 2.0, CGConfig()).x
     y_match = apply_forward(x_hat, op_g)
-    loss = ssl_loss(np.array([]), phantom, 0.05, 1.0, prior, y_l, op_l,
+    loss = ssl_loss(np.array([]), phantom, 0.05, 1.0, prior, x_adj_l, op_l,
                     y_match, op_g, 2.0, CGConfig())
     assert loss <= 1e-18
 
 
 def test_ssl_loss_linear_in_tau():
-    phantom, op_l, op_g, y_l, y_g = _ssl_setup(seed=1)
+    phantom, op_l, op_g, x_adj_l, y_g = _ssl_setup(seed=1)
     prior = white_prior(32, 32)
-    args = (phantom, 0.1, )
-    l1 = ssl_loss(np.array([]), phantom, 0.1, 1.0, prior, y_l, op_l, y_g, op_g, 1.0, CGConfig())
-    l2 = ssl_loss(np.array([]), phantom, 0.1, 2.0, prior, y_l, op_l, y_g, op_g, 1.0, CGConfig())
+    l1 = ssl_loss(np.array([]), phantom, 0.1, 1.0, prior, x_adj_l, op_l, y_g, op_g, 1.0,
+                  CGConfig())
+    l2 = ssl_loss(np.array([]), phantom, 0.1, 2.0, prior, x_adj_l, op_l, y_g, op_g, 1.0,
+                  CGConfig())
     assert abs(l2 - 2.0 * l1) <= 1e-9 * l1
 
 
 def test_ssl_loss_relative_to_heldout_energy():
-    phantom, op_l, op_g, y_l, y_g = _ssl_setup(seed=3)
+    phantom, op_l, op_g, x_adj_l, y_g = _ssl_setup(seed=3)
     prior = white_prior(32, 32)
-    x_hat = one_step_recon(phantom, 0.1, prior, None, y_l, op_l, 1.0, CGConfig())
+    x_hat = one_step_recon(phantom, 0.1, prior, None, x_adj_l, op_l, 1.0, CGConfig()).x
     resid = y_g - apply_forward(x_hat, op_g)
-    loss = ssl_loss(np.array([]), phantom, 0.1, 1.0, prior, y_l, op_l, y_g, op_g, 1.0, CGConfig())
+    loss = ssl_loss(np.array([]), phantom, 0.1, 1.0, prior, x_adj_l, op_l, y_g, op_g, 1.0,
+                    CGConfig())
     expected = np.vdot(resid, resid).real / np.vdot(y_g, y_g).real
     assert abs(loss - expected) <= 1e-12 * expected
 
 
 def test_ssl_loss_rejects_heldout_without_energy():
-    phantom, op_l, op_g, y_l, y_g = _ssl_setup(seed=4)
+    phantom, op_l, op_g, x_adj_l, y_g = _ssl_setup(seed=4)
     prior = white_prior(32, 32)
     with pytest.raises(NumericError):
-        ssl_loss(np.array([]), phantom, 0.1, 1.0, prior, y_l, op_l,
+        ssl_loss(np.array([]), phantom, 0.1, 1.0, prior, x_adj_l, op_l,
                  np.zeros_like(y_g), op_g, 1.0, CGConfig())
 
 
 def test_ssl_loss_identity_delta_matches_uncalibrated_network():
     n = 32
-    phantom, op_l, op_g, y_l, y_g = _ssl_setup(n=n, seed=2)
+    phantom, op_l, op_g, x_adj_l, y_g = _ssl_setup(n=n, seed=2)
     arch = UNetArch(widths=(4, 8), bottleneck=12, emb_steps=6)
     weights = init_weights(arch, seed=3)
     calibrated = UNetScorePrior(weights, calibratable=True)
     uncalibrated = UNetScorePrior(weights, calibratable=False)
     sigma = 0.3
-    l_cal = ssl_loss(np.ones(4), phantom, sigma, 1.0, calibrated, y_l, op_l,
+    l_cal = ssl_loss(np.ones(4), phantom, sigma, 1.0, calibrated, x_adj_l, op_l,
                      y_g, op_g, 1.5, CGConfig())
-    l_raw = ssl_loss(np.array([]), phantom, sigma, 1.0, uncalibrated, y_l, op_l,
+    l_raw = ssl_loss(np.array([]), phantom, sigma, 1.0, uncalibrated, x_adj_l, op_l,
                      y_g, op_g, 1.5, CGConfig())
     assert abs(l_cal - l_raw) <= 1e-9 * max(l_raw, 1.0)
 

@@ -46,6 +46,32 @@ def test_breakdown_on_non_hpd():
         cg_solve(lambda v: A @ v, np.array([0.0, 1.0]), np.zeros(2), CGConfig(max_iters=5, tol=1e-12))
 
 
+def test_nan_operator_rejected():
+    with pytest.raises(NumericError):
+        cg_solve(lambda v: v * np.nan, np.ones(4, complex), np.zeros(4, complex), CGConfig())
+
+
+def test_operator_turning_infinite_rejected():
+    applications = []
+
+    def operator(v):
+        applications.append(1)
+        return v if len(applications) == 1 else np.full_like(v, np.inf)
+
+    rhs = np.arange(1.0, 5.0) + 0j
+    with pytest.raises(NumericError):
+        cg_solve(operator, rhs, np.zeros(4, complex), CGConfig())
+    assert len(applications) == 2
+
+
+def test_residual_overflow_after_an_iteration_rejected():
+    """One step on a condition-1e10 system grows the residual ~5e4-fold, past float range."""
+    scale = np.array([1.0, 1e10])
+    rhs = 1e150 * np.array([1.0, 1e-5])
+    with pytest.raises(NumericError, match="after 1 iterations"):
+        cg_solve(lambda v: scale * v, rhs, np.zeros(2), CGConfig())
+
+
 def test_residual_monotone_for_hpd():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((32, 32))
@@ -82,7 +108,7 @@ def _setup(n=32, coils=4, accel=4, seed=0):
 
 def test_gamma_zero_returns_proximity_point():
     op, x_dot, y = _setup()
-    res = solve_p3(x_dot, y, op, 0.0, CGConfig())
+    res = solve_p3(x_dot, apply_adjoint(y, op), op, 0.0, CGConfig())
     assert np.array_equal(res.x, x_dot)
     assert res.iters == 0
 
@@ -96,7 +122,7 @@ def test_full_mask_single_coil_closed_form():
     x_dot = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     y = rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n))
     gamma = 2.5
-    res = solve_p3(x_dot, y, op, gamma, CGConfig(max_iters=50, tol=1e-13))
+    res = solve_p3(x_dot, apply_adjoint(y, op), op, gamma, CGConfig(max_iters=50, tol=1e-13))
     expected = (gamma * ifft2c(y[0]) + x_dot) / (1 + gamma)
     assert np.max(np.abs(res.x - expected)) <= 1e-10
 
@@ -105,7 +131,7 @@ def test_normal_equation_residual():
     op, x_dot, y = _setup()
     gamma = 3.0
     cfg = CGConfig(max_iters=200, tol=1e-10)
-    res = solve_p3(x_dot, y, op, gamma, cfg)
+    res = solve_p3(x_dot, apply_adjoint(y, op), op, gamma, cfg)
     lhs = gamma * apply_adjoint(apply_forward(res.x, op), op) + res.x
     rhs = gamma * apply_adjoint(y, op) + x_dot
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -121,8 +147,8 @@ def test_large_gamma_limit_full_sampling():
     x_true = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     y = apply_forward(x_true, op)
     x_dot = np.zeros_like(x_true)
-    res = solve_p3(x_dot, y, op, 1e6, CGConfig(max_iters=300, tol=1e-12))
     target = apply_adjoint(y, op)
+    res = solve_p3(x_dot, target, op, 1e6, CGConfig(max_iters=300, tol=1e-12))
     assert np.linalg.norm(res.x - target) <= 1e-3 * np.linalg.norm(target)
 
 
@@ -130,7 +156,7 @@ def test_first_order_optimality():
     """Random perturbations never decrease the proximal objective."""
     op, x_dot, y = _setup(seed=9)
     gamma = 2.0
-    res = solve_p3(x_dot, y, op, gamma, CGConfig(max_iters=300, tol=1e-12))
+    res = solve_p3(x_dot, apply_adjoint(y, op), op, gamma, CGConfig(max_iters=300, tol=1e-12))
 
     def objective(x):
         r = y - apply_forward(x, op)
@@ -147,10 +173,19 @@ def test_first_order_optimality():
 def test_negative_gamma_rejected():
     op, x_dot, y = _setup()
     with pytest.raises(InvalidArgumentError):
-        solve_p3(x_dot, y, op, -1.0, CGConfig())
+        solve_p3(x_dot, apply_adjoint(y, op), op, -1.0, CGConfig())
 
 
 def test_nan_gamma_rejected():
     op, x_dot, y = _setup()
     with pytest.raises(InvalidArgumentError):
-        solve_p3(x_dot, y, op, np.nan, CGConfig())
+        solve_p3(x_dot, apply_adjoint(y, op), op, np.nan, CGConfig())
+
+
+@pytest.mark.parametrize("coils", [1, 4])
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_kspace_instead_of_adjoint_image_rejected(coils, gamma):
+    """Single-coil k-space would broadcast against the image; every coil count is rejected."""
+    op, x_dot, y = _setup(coils=coils)
+    with pytest.raises(InvalidArgumentError, match="adjoint image shape"):
+        solve_p3(x_dot, y, op, gamma, CGConfig())

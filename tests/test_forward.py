@@ -298,8 +298,9 @@ def test_solve_p3_column_path_matches_dense_solve():
             e[j] = 1.0
             img = e.reshape(12, 15)
             dense[:, j] = (gamma * _reference_normal(img, op) + img).ravel()
-        expected = np.linalg.solve(dense, (gamma * apply_adjoint(y, op) + x_dot).ravel()).reshape(12, 15)
-        res = solve_p3(x_dot, y, op, gamma, CGConfig(max_iters=100, tol=1e-15))
+        x_adj = apply_adjoint(y, op)
+        expected = np.linalg.solve(dense, (gamma * x_adj + x_dot).ravel()).reshape(12, 15)
+        res = solve_p3(x_dot, x_adj, op, gamma, CGConfig(max_iters=100, tol=1e-15))
         assert np.max(np.abs(res.x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -346,5 +347,5 @@ def test_adjoint_image_worse_than_regularized_solve():
     op = ForwardOperator(mask, sens)
     y = apply_forward(phantom, op)
     x_zf = apply_adjoint(y, op)
-    solved = solve_p3(np.zeros_like(x_zf), y, op, 100.0, CGConfig(max_iters=40, tol=1e-9)).x
+    solved = solve_p3(np.zeros_like(x_zf), x_zf, op, 100.0, CGConfig(max_iters=40, tol=1e-9)).x
     assert psnr(solved, phantom) > psnr(x_zf, phantom)

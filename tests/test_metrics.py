@@ -36,6 +36,13 @@ def test_psnr_rejects_nan_reference():
         psnr(np.ones((4, 4)), np.full((4, 4), np.nan))
 
 
+def test_ssim_rejects_nan_reference():
+    ref = np.ones((16, 16))
+    ref[3, 4] = np.nan
+    with pytest.raises(InvalidArgumentError, match="reference maximum must be positive"):
+        ssim(np.ones((16, 16)), ref)
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
         psnr(np.ones((4, 4)), np.ones((5, 5)))

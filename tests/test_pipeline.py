@@ -26,7 +26,7 @@ from mricalib import (
     trace_columns,
     white_prior,
 )
-from mricalib import pipeline
+from mricalib import forward, pipeline
 from mricalib.errors import InvalidArgumentError, NumericError
 from mricalib.unet import UNetArch, UNetScorePrior, init_weights, unet_forward
 
@@ -234,6 +234,24 @@ def test_unet_prior_reuse_is_bit_identical_end_to_end():
             else:
                 assert va == vb, f.name
     assert r_memo.psnr == r_fresh.psnr and r_memo.ssim == r_fresh.ssim
+
+
+@pytest.mark.parametrize("enable_fpc, adjoints", [(True, 2), (False, 1)])
+def test_one_adjoint_image_per_measurement_set(monkeypatch, enable_fpc, adjoints):
+    """Aᴴy is built once for y and, when calibrating, once for the reconstruction set."""
+    phantom, op, y = _problem(seed=19)
+    weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=7)
+    cfg = ReconConfig(**FAST, enable_fpc=enable_fpc, enable_rpa=True)
+    calls = []
+    real_ifft2c = forward.ifft2c
+
+    def counting_ifft2c(k):
+        calls.append(k.shape)
+        return real_ifft2c(k)
+
+    monkeypatch.setattr(forward, "ifft2c", counting_ifft2c)  # apply_adjoint's only transform
+    reconstruct(y, op, UNetScorePrior(weights), cfg)
+    assert calls == [y.shape] * adjoints
 
 
 def test_early_stop_keeps_full_record_count():
