@@ -27,7 +27,10 @@ from .cg import CGConfig, CGResult, solve_p3
 from .errors import InvalidArgumentError, NumericError
 from .forward import ForwardOperator, SamplingMask, apply_forward
 from .priors import ScorePrior, clamp_delta
+from .regularization import moment_step
 from .sampler import tweedie_denoise
+
+DELTA_FD_STEP = 0.01  # central-difference probe size per calibration coordinate
 
 
 @dataclass
@@ -145,43 +148,28 @@ class DeltaOptState:
             self.v = np.zeros_like(self.delta)
 
 
-def _fd_gradient(
-    state: DeltaOptState, objective: Callable[[np.ndarray], float], fd_step: float
-) -> np.ndarray:
-    """Central-difference gradient estimate; perturbations stay inside [0, 2]."""
-    delta = state.delta
-    grad = np.zeros(delta.size)
-    evals: list[float] = []
-    for j in range(delta.size):
-        dp, dm = delta.copy(), delta.copy()
-        dp[j] = min(delta[j] + fd_step, 2.0)
-        dm[j] = max(delta[j] - fd_step, 0.0)
-        fp, fm = objective(dp), objective(dm)
-        evals += [fp, fm]
-        grad[j] = (fp - fm) / (dp[j] - dm[j])
-    if not np.all(np.isfinite(evals)):
-        raise NumericError("objective returned non-finite values during perturbation")
-    state.loss_history.append(float(np.mean(evals)))
-    return grad
-
-
 def update_delta(
     state: DeltaOptState,
     objective: Callable[[np.ndarray], float],
     step_size: float,
-    fd_step: float,
 ) -> DeltaOptState:
-    """One derivative-free optimization step; mutates and returns the state."""
-    if state.delta.size == 0:
+    """One derivative-free optimization step; mutates and returns the state.
+
+    Central differences per coordinate, with perturbations kept inside
+    [0, 2] and divided by their clamped width, feed one adaptive-moment step.
+    """
+    delta = state.delta
+    if delta.size == 0:
         state.iteration += 1
         return state
-    grad = _fd_gradient(state, objective, fd_step)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    state.m = b1 * state.m + (1 - b1) * grad
-    state.v = b2 * state.v + (1 - b2) * grad**2
-    k = state.iteration + 1
-    m_hat = state.m / (1 - b1**k)
-    v_hat = state.v / (1 - b2**k)
-    state.delta = clamp_delta(state.delta - step_size * m_hat / (np.sqrt(v_hat) + eps))
-    state.iteration += 1
+    grad = np.zeros(delta.size)
+    evals: list[float] = []
+    for j in range(delta.size):
+        dp, dm = delta.copy(), delta.copy()
+        dp[j] = min(delta[j] + DELTA_FD_STEP, 2.0)
+        dm[j] = max(delta[j] - DELTA_FD_STEP, 0.0)
+        fp, fm = objective(dp), objective(dm)
+        evals += [fp, fm]
+        grad[j] = (fp - fm) / (dp[j] - dm[j])
+    state.delta = clamp_delta(delta - moment_step(state, evals, grad, step_size, b1=0.9))
     return state

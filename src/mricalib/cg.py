@@ -97,6 +97,8 @@ def solve_p3(
         raise InvalidArgumentError("gamma must be >= 0")
     if np.shape(x_adj) != op.shape:
         raise InvalidArgumentError(f"adjoint image shape {np.shape(x_adj)} is not {op.shape}")
+    if np.shape(x_dot) != op.shape:
+        raise InvalidArgumentError(f"denoised image shape {np.shape(x_dot)} is not {op.shape}")
     x_dot = np.asarray(x_dot, dtype=np.complex128)
     if gamma == 0:
         return CGResult(x_dot.copy(), 0.0, 0)

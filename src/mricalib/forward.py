@@ -254,8 +254,8 @@ def normal_operator(op: ForwardOperator) -> Callable[[np.ndarray], np.ndarray]:
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise_std: float, seed: int = 0) -> np.ndarray:
     """Add i.i.d. complex Gaussian noise (per-component std) on sampled entries only."""
-    if not noise_std >= 0:
-        raise InvalidArgumentError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < np.inf:
+        raise InvalidArgumentError(f"noise_std must be a finite number >= 0, got {noise_std}")
     y = np.asarray(y, dtype=np.complex128)
     if noise_std == 0:
         return y.copy()

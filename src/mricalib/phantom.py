@@ -6,7 +6,8 @@ base magnitude is normalized to [0, 1]; domain shifts then remap it:
 a contrast exponent, a multiplicative smooth bias field 1 + a*g with
 max|g| = 1 (applied without renormalization so the pixelwise ratio to
 the unshifted phantom stays inside [1-a, 1+a]), and a resolution scale
-that blurs toward lower effective resolution.  A gentle smooth phase
+that blurs toward lower effective resolution (a Gaussian of width
+1/scale - 1 pixels, at most the phantom size).  A gentle smooth phase
 makes the output genuinely complex.
 """
 
@@ -38,12 +39,13 @@ class PhantomSpec:
             raise InvalidArgumentError(f"unknown phantom kind {self.kind!r}")
         if self.size < 8:
             raise InvalidArgumentError("phantom size must be >= 8")
-        if not self.contrast_exponent > 0:
-            raise InvalidArgumentError("contrast exponent must be > 0")
+        if not 0 < self.contrast_exponent < np.inf:
+            raise InvalidArgumentError("contrast exponent must be a finite number > 0")
         if not 0 <= self.bias_amplitude < 1:
             raise InvalidArgumentError("bias amplitude must lie in [0, 1)")
-        if not 0 < self.resolution_scale <= 1:
-            raise InvalidArgumentError("resolution scale must lie in (0, 1]")
+        if not (0 < self.resolution_scale <= 1 and 1 / self.resolution_scale - 1 <= self.size):
+            raise InvalidArgumentError(
+                "resolution scale must lie in (0, 1] with blur width 1/scale - 1 <= size")
 
 
 def _smooth_field(n: int, rng: np.random.Generator, rel_sigma: float = 0.125) -> np.ndarray:

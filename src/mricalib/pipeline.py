@@ -65,6 +65,8 @@ from .sampler import RENOISE_MODES, build_schedule, renoise
 from .regularization import RegAdaptState, convergence_criterion, sure_loss, update_gamma
 from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule, check_settings, one_of, setting
 
+SURE_EPS_SCALE = 1e-3  # risk probe size relative to max |x| of the iterate
+
 
 @dataclass
 class ReconConfig:
@@ -91,11 +93,8 @@ class ReconConfig:
     seed_noise: int = setting(0, "seed of the renoise transitions", SEED)
     renoise_mode: str = setting("deterministic", "transition to the next noise level",
                                 one_of(*RENOISE_MODES))
-    sure_eps_scale: float = setting(1e-3, "risk probe size relative to max |x|", POSITIVE)
     delta_step: float = setting(0.05, "calibration step size", POSITIVE)
-    delta_fd_step: float = setting(0.01, "calibration perturbation size", POSITIVE)
     gamma_step: float = setting(0.1, "weight-walk step size in log gamma", POSITIVE)
-    gamma_fd_step: float = setting(0.05, "weight-walk perturbation size in log gamma", POSITIVE)
 
     def __post_init__(self):
         check_settings(self)
@@ -191,7 +190,7 @@ def reconstruct(
                                 _w, cfg.cg)
                 return loss + delta_penalty(d)
 
-            delta_state = update_delta(delta_state, objective, cfg.delta_step, cfg.delta_fd_step)
+            delta_state = update_delta(delta_state, objective, cfg.delta_step)
             loss_ssl = delta_state.loss_history[-1]
             x_lambda_hat = one_step_recon(x_lambda, sigma, prior, delta_state.delta,
                                           x_zf_l, op_l, gamma, cfg.cg).x
@@ -201,7 +200,7 @@ def reconstruct(
         loss_reg = None
         conv = None
         if cfg.enable_rpa and not reg_state.stopped:
-            eps = max(cfg.sure_eps_scale * float(np.max(np.abs(x))), 1e-12)
+            eps = max(SURE_EPS_SCALE * float(np.max(np.abs(x))), 1e-12)
 
             def composite(g, v, _sigma=sigma, _d=delta_state.delta):
                 return one_step_recon(v, _sigma, prior, _d, x_zf, op, g, cfg.cg).x
@@ -209,7 +208,7 @@ def reconstruct(
             def loss_fn(g, _eps=eps, _t=t):
                 return sure_loss(g, x, x_zf, composite, _eps, (cfg.seed_mc, _t))
 
-            reg_state = update_gamma(reg_state, loss_fn, cfg.gamma_step, cfg.gamma_fd_step)
+            reg_state = update_gamma(reg_state, loss_fn, cfg.gamma_step)
             gamma = reg_state.gamma
             loss_reg = reg_state.loss_history[-1]
             conv = convergence_criterion(reg_state.loss_history, cfg.window)

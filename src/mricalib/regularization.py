@@ -25,6 +25,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 
 GAMMA_BOUNDS = (1e-4, 1e4)
+GAMMA_FD_STEP = 0.05  # central-difference probe size in log(gamma)
 
 
 def _draw_direction(like: np.ndarray, seed) -> np.ndarray:
@@ -95,38 +96,43 @@ class RegAdaptState:
             raise InvalidArgumentError("gamma must be > 0")
 
 
+def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
+    """Adaptive-moment step shared by both walks; returns the step to subtract.
+
+    Checks that the probe values are finite, records their mean in
+    state.loss_history and advances state.m, state.v and state.iteration.
+    """
+    if not np.all(np.isfinite(evals)):
+        raise NumericError("objective returned non-finite values during perturbation")
+    state.loss_history.append(float(np.mean(evals)))
+    b2, eps = 0.999, 1e-8
+    state.m = b1 * state.m + (1 - b1) * grad
+    state.v = b2 * state.v + (1 - b2) * grad**2
+    state.iteration += 1
+    m_hat = state.m / (1 - b1**state.iteration)
+    v_hat = state.v / (1 - b2**state.iteration)
+    return step_size * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def update_gamma(
     state: RegAdaptState,
     loss_fn: Callable[[float], float],
     step_size: float,
-    fd_step: float,
 ) -> RegAdaptState:
     """One adaptive-moment step on log(gamma); a no-op once stopped.
 
-    step_size and fd_step are both measured in log(gamma).
+    step_size and the probe size GAMMA_FD_STEP are both measured in log(gamma).
     """
     if state.stopped:
         return state
     u = np.log(state.gamma)
     lo, hi = np.log(GAMMA_BOUNDS[0]), np.log(GAMMA_BOUNDS[1])
-    f_plus = loss_fn(float(np.exp(min(u + fd_step, hi))))
-    f_minus = loss_fn(float(np.exp(max(u - fd_step, lo))))
-    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-        raise NumericError("risk objective returned non-finite values")
-    grad = (f_plus - f_minus) / (2 * fd_step)
-
+    f_plus = loss_fn(float(np.exp(min(u + GAMMA_FD_STEP, hi))))
+    f_minus = loss_fn(float(np.exp(max(u - GAMMA_FD_STEP, lo))))
+    grad = (f_plus - f_minus) / (2 * GAMMA_FD_STEP)
     # short-horizon walk over a noisy 1-D objective: modest momentum
-    b1, b2, eps = 0.7, 0.999, 1e-8
-    state.m = b1 * state.m + (1 - b1) * grad
-    state.v = b2 * state.v + (1 - b2) * grad**2
-    k = state.iteration + 1
-    m_hat = state.m / (1 - b1**k)
-    v_hat = state.v / (1 - b2**k)
-    u = np.clip(u - step_size * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
-
-    state.gamma = float(np.exp(u))
-    state.iteration += 1
-    state.loss_history.append(0.5 * (f_plus + f_minus))
+    step = moment_step(state, [f_plus, f_minus], grad, step_size, b1=0.7)
+    state.gamma = float(np.exp(np.clip(u - step, lo, hi)))
     return state
 
 

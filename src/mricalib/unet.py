@@ -593,25 +593,25 @@ def load_weights(path: str | os.PathLike) -> UNetWeights:
 # desk-scale training: denoising score matching with plain SGD
 # ---------------------------------------------------------------------------
 
+DSM_DRAWS_PER_IMAGE = 4  # seeded (level, noise) draws per held-out image in dsm_loss
+CLIP_NORM = 1.0  # global gradient-norm bound of train_toy_denoiser
+
 
 def dsm_loss(
     weights: UNetWeights,
     images: list[np.ndarray],
     seed: int = 0,
-    draws_per_image: int = 4,
 ) -> float:
     """Mean squared noise-prediction error over seeded (image, level) draws."""
     if not images:
         raise InvalidArgumentError("held-out set must be nonempty")
-    if draws_per_image < 1:
-        raise InvalidArgumentError(f"draws_per_image must be >= 1, got {draws_per_image}")
     arch = weights.arch
     sigmas = arch.sigma_ladder()
     rng = np.random.default_rng(seed)
     total, count = 0.0, 0
     for img in images:
         x0 = np.stack([np.asarray(img).real, np.asarray(img).imag])[None]
-        for _ in range(draws_per_image):
+        for _ in range(DSM_DRAWS_PER_IMAGE):
             t = int(rng.integers(arch.emb_steps))
             eps = rng.standard_normal(x0.shape)
             out, _ = _forward(x0 + sigmas[t] * eps, np.array([t]), weights)
@@ -627,20 +627,18 @@ def train_toy_denoiser(
     arch: UNetArch | None = None,
     lr: float = 0.1,
     batch_size: int = 4,
-    clip_norm: float = 1.0,
 ) -> UNetWeights:
     """Train the noise predictor with plain SGD; deterministic given the seed.
 
     `epochs` counts passes over the dataset; zero epochs returns the
-    seeded initialization untouched.  Gradients are clipped to a global
-    norm bound, which keeps the constant learning rate stable over long
-    runs.
+    seeded initialization untouched.  Gradients are clipped to the global
+    norm bound CLIP_NORM, which keeps the constant learning rate stable
+    over long runs.
     """
     if not images:
         raise InvalidArgumentError("training set must be nonempty")
-    for name, value in (("lr", lr), ("clip_norm", clip_norm)):
-        if not 0 < value < np.inf:  # NaN fails too
-            raise InvalidArgumentError(f"{name} must be a finite number > 0, got {value}")
+    if not 0 < lr < np.inf:  # NaN fails too
+        raise InvalidArgumentError(f"lr must be a finite number > 0, got {lr}")
     if batch_size < 1:
         raise InvalidArgumentError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
@@ -666,7 +664,7 @@ def train_toy_denoiser(
             dout = 2.0 * (out - eps) / out.size
             grads = _backward(dout, cache, weights)
             total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            scale = lr if total <= clip_norm else lr * clip_norm / total
+            scale = lr if total <= CLIP_NORM else lr * CLIP_NORM / total
             for name in weights.params:
                 weights.params[name] -= scale * grads[name]
     return weights

@@ -233,7 +233,7 @@ def test_criterion_7_early_stopping():
     state.stopped = True
     frozen = state.gamma
     for _ in range(5):
-        state = update_gamma(state, lambda g: g**2, defaults.gamma_step, defaults.gamma_fd_step)
+        state = update_gamma(state, lambda g: g**2, defaults.gamma_step)
         assert state.gamma == frozen
         assert len(state.loss_history) == 10
     elapsed = time.perf_counter() - started

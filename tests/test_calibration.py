@@ -184,7 +184,7 @@ def test_penalty_gradient_matches_analytic():
 
 def test_stationary_point_is_fixed():
     state = DeltaOptState(delta=np.ones(4))
-    state = update_delta(state, delta_penalty, step_size=0.05, fd_step=0.01)
+    state = update_delta(state, delta_penalty, step_size=0.05)
     assert np.array_equal(state.delta, np.ones(4))
 
 
@@ -192,7 +192,7 @@ def test_clamp_invariant_after_updates():
     rng = np.random.default_rng(2)
     state = DeltaOptState(delta=rng.uniform(0, 2, size=6))
     for _ in range(20):  # push upward
-        state = update_delta(state, lambda d: -np.sum(d), step_size=0.8, fd_step=0.01)
+        state = update_delta(state, lambda d: -np.sum(d), step_size=0.8)
         assert np.all(state.delta >= 0) and np.all(state.delta <= 2)
     assert np.allclose(state.delta, 2.0)
 
@@ -202,7 +202,7 @@ def test_monotone_descent_after_warmup():
     objective = lambda d: float(np.sum((d - 1.8) ** 2))
     values = []
     for _ in range(50):
-        state = update_delta(state, objective, step_size=0.01, fd_step=0.01)
+        state = update_delta(state, objective, step_size=0.01)
         values.append(objective(state.delta))
     diffs = np.diff(values[5:])
     assert np.all(diffs <= 1e-12)
@@ -214,11 +214,11 @@ def test_penalty_pulls_delta_to_identity():
     frozen_ssl = 3.7  # constant, as with a calibration-blind prior
     objective = lambda d: frozen_ssl + delta_penalty(d)
     for _ in range(100):
-        state = update_delta(state, objective, step_size=0.05, fd_step=0.01)
+        state = update_delta(state, objective, step_size=0.05)
     assert np.linalg.norm(state.delta - 1.0) <= 0.05
 
 
 def test_nonfinite_objective_rejected():
     state = DeltaOptState(delta=np.ones(2))
     with pytest.raises(NumericError):
-        update_delta(state, lambda d: float("nan"), step_size=0.05, fd_step=0.01)
+        update_delta(state, lambda d: float("nan"), step_size=0.05)

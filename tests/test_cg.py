@@ -189,3 +189,12 @@ def test_kspace_instead_of_adjoint_image_rejected(coils, gamma):
     op, x_dot, y = _setup(coils=coils)
     with pytest.raises(InvalidArgumentError, match="adjoint image shape"):
         solve_p3(x_dot, y, op, gamma, CGConfig())
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16, 16)])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_misshapen_denoised_image_rejected(shape, gamma):
+    """An x_dot that would broadcast against the 16 x 16 image is rejected, gamma = 0 included."""
+    op, _, y = _setup(n=16, coils=1)
+    with pytest.raises(InvalidArgumentError, match="denoised image shape"):
+        solve_p3(np.ones(shape, dtype=complex), apply_adjoint(y, op), op, gamma, CGConfig())

@@ -290,11 +290,8 @@ SETTING_FLAGS = [
     (["--seed-mc", "6"], "seed_mc", 6),
     (["--seed-noise", "7"], "seed_noise", 7),
     (["--renoise-mode", "stochastic"], "renoise_mode", "stochastic"),
-    (["--sure-eps-scale", "0.01"], "sure_eps_scale", 0.01),
     (["--delta-step", "0.1"], "delta_step", 0.1),
-    (["--delta-fd-step", "0.02"], "delta_fd_step", 0.02),
     (["--gamma-step", "0.3"], "gamma_step", 0.3),
-    (["--gamma-fd-step", "0.1"], "gamma_fd_step", 0.1),
 ]
 
 
@@ -326,7 +323,6 @@ def sim16(tmp_path_factory):
     ["--tau-reg", "nan"],
     ["--gamma-step", "-0.3"],
     ["--delta-step", "nan"],
-    ["--delta-fd-step", "nan"],
     ["--tau-ssl", "nan"],
     ["--seed-init", "-1"],
     ["--seed-mc", "-1"],
@@ -346,9 +342,18 @@ def test_simulate_nan_accel_exits_2(tmp_path):
                  "--accel", "nan"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--contrast", "--bias-amplitude"])
-def test_simulate_nan_phantom_shift_exits_2(tmp_path, capsys, flag):
-    assert _run(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "16", flag, "nan"]) == 2
+BAD_SIMULATE_INPUTS = [
+    ("--contrast", "nan"), ("--bias-amplitude", "nan"), ("--contrast", "inf"),
+    ("--resolution-scale", "1e-300"),
+    ("--resolution-scale", "0.05"),  # blur width 1/scale - 1 = 19 exceeds --size 16
+    ("--noise-std", "inf"),
+]
+
+
+@pytest.mark.parametrize("flag, value", BAD_SIMULATE_INPUTS,
+                         ids=[f if v == "nan" else f"{f} {v}" for f, v in BAD_SIMULATE_INPUTS])
+def test_simulate_nan_phantom_shift_exits_2(tmp_path, capsys, flag, value):
+    assert _run(["simulate", "--out-dir", str(tmp_path / "sim"), "--size", "16", flag, value]) == 2
     assert "argument error" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
 

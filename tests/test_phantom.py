@@ -69,3 +69,9 @@ def test_invalid_specs_rejected():
         PhantomSpec(bias_amplitude=float("nan"))
     with pytest.raises(InvalidArgumentError):
         PhantomSpec(resolution_scale=1.5)
+    with pytest.raises(InvalidArgumentError):
+        PhantomSpec(contrast_exponent=float("inf"))
+    for scale in (1e-300, 1e-12, 0.1):  # blur width 1/scale - 1 wider than size 8
+        with pytest.raises(InvalidArgumentError):
+            PhantomSpec(size=8, resolution_scale=scale)
+    PhantomSpec(size=8, resolution_scale=1 / 9)  # blur width 8 = size is allowed

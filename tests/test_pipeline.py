@@ -134,8 +134,7 @@ def test_walk_settings_reach_the_walks():
     phantom, op, y = _problem(seed=9)
     arch = UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8)
     prior = UNetScorePrior(init_weights(arch, seed=4))
-    cfg = ReconConfig(**FAST, delta_step=0.03, delta_fd_step=0.02, gamma_step=0.2,
-                      gamma_fd_step=0.1, tau_reg=1e6, window=2)
+    cfg = ReconConfig(**FAST, delta_step=0.03, gamma_step=0.2, tau_reg=1e6, window=2)
     _, report = reconstruct(y, op, prior, cfg)
     first = report.records[0]
     # Adam's first step has size step_size in every coordinate whose gradient is nonzero

@@ -8,6 +8,7 @@ from mricalib import (
     sure_loss,
     update_gamma,
 )
+from mricalib.calibration import DeltaOptState, update_delta
 from mricalib.errors import InvalidArgumentError, NumericError
 from mricalib.regularization import GAMMA_BOUNDS
 
@@ -124,22 +125,46 @@ def test_sure_nonfinite_rejected():
 def test_gamma_descends_log_quadratic():
     state = RegAdaptState(gamma=float(np.e))
     for _ in range(20):
-        state = update_gamma(state, lambda g: np.log(g) ** 2, step_size=0.1, fd_step=0.05)
+        state = update_gamma(state, lambda g: np.log(g) ** 2, step_size=0.1)
     assert abs(np.log(state.gamma)) < 0.2
 
 
 def test_stopped_state_is_frozen():
     state = RegAdaptState(gamma=2.0, stopped=True)
-    out = update_gamma(state, lambda g: g**2, step_size=0.1, fd_step=0.05)
+    out = update_gamma(state, lambda g: g**2, step_size=0.1)
     assert out is state
     assert out.gamma == 2.0
     assert out.loss_history == []
 
 
+def test_walks_reproduce_recorded_arithmetic():
+    """Three steps of each walk equal, to the last bit, values recorded before the walks
+    shared their adaptive-moment step; the last delta coordinate's upper probe is clamped."""
+    def f_delta(d):
+        return float(np.sum(np.arange(1, d.size + 1) * (d - 1.3) ** 2) + np.sum(np.sin(3 * d)))
+
+    def f_gamma(g):
+        return float((np.log(g) - 0.7) ** 2 + 0.1 * g)
+
+    d_state = DeltaOptState(delta=np.array([0.2, 1.0, 1.995]))
+    g_state = RegAdaptState(gamma=2.0)
+    for _ in range(3):
+        d_state = update_delta(d_state, f_delta, step_size=0.05)
+        g_state = update_gamma(g_state, f_gamma, step_size=0.3)
+    assert repr(d_state.delta.tolist()) == (
+        "[0.050555675309371516, 1.1497127731621797, 1.8454579933213966]")
+    assert repr(d_state.loss_history) == (
+        "[3.2452715362302484, 2.689003520296055, 2.1580557595108005]")
+    assert repr(g_state.gamma) == "2.0486489387758824"
+    assert repr(g_state.loss_history) == (
+        "[0.20279701322195182, 0.24500753258678007, 0.19740020115247997]")
+    assert (d_state.iteration, g_state.iteration) == (3, 3)
+
+
 def test_gamma_clamped_to_bounds():
     state = RegAdaptState(gamma=1.0)
     for _ in range(40):  # push down hard
-        state = update_gamma(state, lambda g: np.log(g), step_size=5.0, fd_step=0.05)
+        state = update_gamma(state, lambda g: np.log(g), step_size=5.0)
         assert GAMMA_BOUNDS[0] <= state.gamma <= GAMMA_BOUNDS[1]
     assert state.gamma == pytest.approx(GAMMA_BOUNDS[0])
 
