@@ -122,7 +122,11 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
     if args.prior == "unet":
         if not args.weights:
             raise InvalidArgumentError("--prior unet needs --weights")
-        return UNetScorePrior(load_weights(args.weights))
+        weights = load_weights(args.weights)
+        try:
+            return UNetScorePrior(weights)
+        except InvalidArgumentError as exc:
+            raise FormatError(f"weights {args.weights}: {exc}") from exc
     raise InvalidArgumentError(f"unknown prior {args.prior!r}")
 
 

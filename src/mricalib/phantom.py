@@ -13,6 +13,7 @@ makes the output genuinely complex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +56,22 @@ def _smooth_field(n: int, rng: np.random.Generator, rel_sigma: float = 0.125) ->
     return g / peak if peak > 0 else g
 
 
-def _ellipse(n: int, cy, cx, ay, ax, angle) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _unit_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pixel coordinates (yn, xn) of an n x n grid, scaled to [-1, 1]."""
     y, x = np.mgrid[0:n, 0:n]
     yn = 2 * y / (n - 1) - 1
     xn = 2 * x / (n - 1) - 1
+    yn.flags.writeable = xn.flags.writeable = False
+    return yn, xn
+
+
+def _ellipse(n: int, cy, cx, ay, ax, angle) -> np.ndarray:
+    yn, xn = _unit_grid(n)
+    dy, dx = yn - cy, xn - cx
     ca, sa = np.cos(angle), np.sin(angle)
-    u = (xn - cx) * ca + (yn - cy) * sa
-    v = -(xn - cx) * sa + (yn - cy) * ca
+    u = dx * ca + dy * sa
+    v = -dx * sa + dy * ca
     return ((u / ax) ** 2 + (v / ay) ** 2 <= 1.0).astype(np.float64)
 
 

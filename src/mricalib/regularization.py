@@ -99,19 +99,25 @@ class RegAdaptState:
 def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
     """Adaptive-moment step shared by both walks; returns the step to subtract.
 
-    Checks that the probe values are finite, records their mean in
-    state.loss_history and advances state.m, state.v and state.iteration.
+    Checks that the probe values, the squared gradient and the step are
+    finite, then records the mean probe value in state.loss_history and
+    advances state.m, state.v and state.iteration; a failed check leaves
+    the state as it was.
     """
     if not np.all(np.isfinite(evals)):
         raise NumericError("objective returned non-finite values during perturbation")
-    state.loss_history.append(float(np.mean(evals)))
     b2, eps = 0.999, 1e-8
-    state.m = b1 * state.m + (1 - b1) * grad
-    state.v = b2 * state.v + (1 - b2) * grad**2
-    state.iteration += 1
-    m_hat = state.m / (1 - b1**state.iteration)
-    v_hat = state.v / (1 - b2**state.iteration)
-    return step_size * m_hat / (np.sqrt(v_hat) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        grad_sq = np.square(grad)
+        m = b1 * state.m + (1 - b1) * grad
+        v = b2 * state.v + (1 - b2) * grad_sq
+        iteration = state.iteration + 1
+        step = step_size * (m / (1 - b1**iteration)) / (np.sqrt(v / (1 - b2**iteration)) + eps)
+    if not (np.all(np.isfinite(grad_sq)) and np.all(np.isfinite(step))):
+        raise NumericError(f"adaptive-moment step is not finite (gradient {grad})")
+    state.loss_history.append(float(np.mean(evals)))
+    state.m, state.v, state.iteration = m, v, iteration
+    return step
 
 
 def update_gamma(

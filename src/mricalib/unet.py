@@ -10,15 +10,18 @@ band is formed by subtraction, so the band partition is exact).
 A calibration vector other than all ones splits each decoder level's first
 conv by linearity into an up term and two skip-band terms, which the score
 adapter reuses across calibration probes; their sum rounds differently
-from the conv of the joined channels, within 1e-13 relative.  The all-ones
-vector is the identity and runs the uncalibrated network itself, bit for
-bit.  Each conv is one GEMM per sample whose tap outputs are added
-shifted, bit-identical to one GEMM per tap.
+from the conv of the joined channels, within 1e-13 relative in float64.
+The all-ones vector is the identity and runs the uncalibrated network
+itself, bit for bit.  Each conv is one GEMM per sample whose tap outputs
+are added shifted, bit-identical to one GEMM per tap.
 
-Everything is plain float64 numpy.  Training is denoising score matching
-with hand-derived convolution gradients and plain SGD — the adaptation
-machinery never differentiates through the network, so no autodiff
-dependency is needed.
+Everything is plain numpy.  Inference (`UNetScorePrior`, `unet_forward`)
+runs in float32 on weights cast once, within 1e-5 relative of the float64
+walk; training, `dsm_loss` and the weight files stay float64.  The layer
+primitives compute in the dtype of their input.  Training is denoising
+score matching with hand-derived convolution gradients and plain SGD — the
+adaptation machinery never differentiates through the network, so no
+autodiff dependency is needed.
 """
 
 from __future__ import annotations
@@ -145,10 +148,10 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, want_cache: bool
     Cout, _, k, _ = w.shape
     p = k // 2
     Hp, Wp = H + 2 * p, W + 2 * p
-    xp = np.zeros((B, Cin, Hp, Wp))
+    xp = np.zeros((B, Cin, Hp, Wp), dtype=x.dtype)
     xp[:, :, p : p + H, p : p + W] = x
     taps_w = w.transpose(2, 3, 0, 1).reshape(k * k * Cout, Cin)
-    y = np.zeros((B, Cout, H, W))
+    y = np.zeros((B, Cout, H, W), dtype=x.dtype)
     for n in range(B):
         taps = (taps_w @ xp[n].reshape(Cin, Hp * Wp)).reshape(k, k, Cout, Hp, Wp)
         for i in range(k):
@@ -221,7 +224,8 @@ def low_band(feat: np.ndarray, cutoff: float) -> np.ndarray:
     fy = np.fft.fftfreq(H) * 2.0  # Nyquist normalized to |1|
     fx = np.fft.fftfreq(W) * 2.0
     keep = (fy[:, None] ** 2 + fx[None, :] ** 2) <= cutoff**2
-    return np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
+    low = np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
+    return low.astype(feat.dtype, copy=False)  # numpy < 2 transforms float32 in double
 
 
 def modulate_bands(feat: np.ndarray, alpha: float, beta: float, cutoff: float) -> np.ndarray:
@@ -255,9 +259,10 @@ def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict 
     P = weights.params
     want_cache = cache is not None
 
-    # precondition: keep activations O(1) across noise levels
+    # precondition: keep activations O(1) across noise levels; the factor is
+    # cast so that it does not promote a float32 input to float64
     sigma_t = arch.sigma_ladder()[t_idx]
-    x = x / np.sqrt(1.0 + sigma_t**2)[:, None, None, None]
+    x = x / np.sqrt(1.0 + sigma_t**2).astype(x.dtype)[:, None, None, None]
 
     skips = []
     h = x
@@ -388,7 +393,8 @@ def unet_forward(
 ) -> np.ndarray:
     """Run the network on one complex image; returns the complex 2-channel output.
 
-    This is `UNetScorePrior`'s walk on a fresh prior, so nothing is reused.
+    This is `UNetScorePrior`'s float32 walk on a fresh prior, so nothing is
+    reused.
     """
     x = np.asarray(x, dtype=np.complex128)
     return UNetScorePrior(weights)._predict_noise(x, t, delta)
@@ -432,21 +438,30 @@ class UNetScorePrior(ScorePrior):
     A calibrated level sums the split terms where the uncalibrated network
     convolves the joined channels, so a calibrated output differs from the
     concatenated form (modulate_bands, join, one conv) by rounding only,
-    within 1e-13 relative.  The all-ones vector runs as None, the
+    within 1e-13 relative in float64.  The all-ones vector runs as None, the
     concatenated form itself, so the identity is the uncalibrated network
     bit for bit and an uncalibrated run pays for no split terms.
 
+    The network runs in float32 on a copy of the weights cast once here;
+    the output goes back to complex128 before it is kept or returned, and
+    lies within 1e-5 relative of the float64 walk.  Later changes to the
+    caller's `weights.params` do not reach the prior, so build a new one.
+
     The memory this holds is bounded by one set of encoder activations and
     three first-conv outputs per level, plus `OUTPUTS_KEPT` images and
-    their keys.  The wrapped weights are treated as frozen: mutating
-    `weights.params` after an evaluation leaves stale entries behind, so
-    build a new prior instead.
+    their keys.
     """
 
     OUTPUTS_KEPT = 4
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
-        self.weights = weights
+        limit = float(np.finfo(np.float32).max)
+        for name, p in weights.params.items():
+            if not np.all(np.abs(p) <= limit):  # NaN fails too
+                raise InvalidArgumentError(
+                    f"weight {name} is not finite or exceeds the float32 range {limit:g}")
+        self._weights = UNetWeights(
+            weights.arch, {name: p.astype(np.float32) for name, p in weights.params.items()})
         self.calibratable = calibratable
         self._sigmas = weights.arch.sigma_ladder()
         self._encoded: _EncoderState | None = None
@@ -454,7 +469,7 @@ class UNetScorePrior(ScorePrior):
 
     @property
     def layer_count(self) -> int:
-        return self.weights.arch.layer_count if self.calibratable else 0
+        return self._weights.arch.layer_count if self.calibratable else 0
 
     def evaluate(self, x, sigma, delta=None):
         x = np.asarray(x, dtype=np.complex128)
@@ -473,7 +488,7 @@ class UNetScorePrior(ScorePrior):
 
         Reuses what earlier calls computed; a vector of all ones runs as None.
         """
-        arch = self.weights.arch
+        arch = self._weights.arch
         L = arch.layer_count
         if x.ndim != 2:
             raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
@@ -490,17 +505,17 @@ class UNetScorePrior(ScorePrior):
 
         enc = self._encoded
         if enc is None or enc.key != in_key:
-            x2 = np.stack([x.real, x.imag])[None]
+            x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
             t_idx = np.array([idx], dtype=np.int64)
             _check_input(x2.shape, t_idx, arch)
-            h, skips = _encode(x2, t_idx, self.weights)
+            h, skips = _encode(x2, t_idx, self._weights)
             enc = self._encoded = _EncoderState(in_key, h, skips, [None] * L)
 
-        P = self.weights.params
+        P = self._weights.params
         h = enc.h
         if delta is None:
             for i in reversed(range(L)):
-                h = _decode_level(i, h, enc.skips[i], self.weights)
+                h = _decode_level(i, h, enc.skips[i], self._weights)
         else:
             def up_key(i):
                 return delta[2 * (i + 1) :].tobytes()
@@ -515,19 +530,21 @@ class UNetScorePrior(ScorePrior):
                     break
             for i in reversed(range(start + 1)):
                 if up is None:
-                    up = _up_term(i, h, self.weights)
+                    up = _up_term(i, h, self._weights)
                     enc.ups[i] = (up_key(i), up)
                 if enc.skip_terms[i] is None:
-                    enc.skip_terms[i] = _skip_terms(i, enc.skips[i], self.weights)
+                    enc.skip_terms[i] = _skip_terms(i, enc.skips[i], self._weights)
                 low_term, high_term = enc.skip_terms[i]
-                # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1]
-                h, _ = _relu(up + delta[2 * i] * low_term + delta[2 * i + 1] * high_term, False)
+                # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
+                # Python floats, since an np.float64 scalar promotes float32 to float64
+                alpha, beta = float(delta[2 * i]), float(delta[2 * i + 1])
+                h, _ = _relu(up + alpha * low_term + beta * high_term, False)
                 h, _ = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)
                 h, _ = _relu(h, False)
                 up = None
 
         head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
-        out = head[0, 0] + 1j * head[0, 1]
+        out = (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
         self._outputs[out_key] = out
         if len(self._outputs) > self.OUTPUTS_KEPT:
             self._outputs.popitem(last=False)
@@ -574,6 +591,8 @@ def load_weights(path: str | os.PathLike) -> UNetWeights:
     flat = read_tensor(path)
     if flat.ndim != 1 or np.iscomplexobj(flat):
         raise FormatError("weight payload must be a rank-1 real tensor")
+    if not np.all(np.isfinite(flat)):
+        raise FormatError(f"weight payload {os.fspath(path)} has non-finite values")
     shapes = arch.param_shapes()
     total = sum(math.prod(s) for s in shapes.values())  # exact, whatever the descriptor says
     if flat.size != total:

@@ -432,6 +432,26 @@ def test_bad_weight_descriptor_exits_4(tmp_path, capsys, sim16, tiny_weights, da
     assert "architecture descriptor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+def test_bad_weight_value_exits_4(tmp_path, capsys, sim16, tiny_weights, value):
+    """A non-finite weight, or one beyond the float32 range inference casts to, is a format
+    error naming the weights file."""
+    weights = tmp_path / "w.bt"
+    flat = read_tensor(tiny_weights)
+    flat[3] = value
+    write_tensor(weights, flat)
+    (tmp_path / "w.bt.arch").write_bytes((tiny_weights.parent / "w.bt.arch").read_bytes())
+    out = tmp_path / "o"
+    code = _run([
+        "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
+        "--sens", str(sim16 / "sens.bt"), "--out-dir", str(out), "--steps", "3",
+        "--prior", "unet", "--weights", str(weights),
+    ])
+    assert code == 4
+    assert str(weights) in capsys.readouterr().err
+    assert not (out / "recon.bt").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--batch-size", "0"], ["--epochs", "-1"],
 ], ids=lambda extra: " ".join(extra))

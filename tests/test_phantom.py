@@ -3,6 +3,7 @@ import pytest
 
 from mricalib import PhantomSpec, make_phantom
 from mricalib.errors import InvalidArgumentError
+from mricalib.phantom import _ellipse, _unit_grid
 
 
 def test_determinism():
@@ -46,6 +47,33 @@ def test_contrast_exponent_darkens_midtones():
     shifted = np.abs(make_phantom(PhantomSpec(size=48, seed=9, contrast_exponent=2.0)))
     mid = (base > 0.2) & (base < 0.8)
     assert np.all(shifted[mid] < base[mid])
+
+
+def _fresh_ellipse(n, cy, cx, ay, ax, angle):
+    """The ellipse with its coordinate grid built on every call."""
+    y, x = np.mgrid[0:n, 0:n]
+    yn = 2 * y / (n - 1) - 1
+    xn = 2 * x / (n - 1) - 1
+    ca, sa = np.cos(angle), np.sin(angle)
+    u = (xn - cx) * ca + (yn - cy) * sa
+    v = -(xn - cx) * sa + (yn - cy) * ca
+    return ((u / ax) ** 2 + (v / ay) ** 2 <= 1.0).astype(np.float64)
+
+
+def test_ellipse_grid_is_shared_and_read_only():
+    """Ellipses of one size share one read-only grid and match the grid built afresh."""
+    yn, xn = _unit_grid(16)
+    assert _unit_grid(16)[0] is yn and _unit_grid(16)[1] is xn
+    with pytest.raises(ValueError):
+        yn[0, 0] = 0.0
+    rng = np.random.default_rng(8)
+    for n in (9, 16, 33):
+        for _ in range(5):
+            cy, cx = rng.uniform(-0.45, 0.45, size=2)
+            ay, ax = rng.uniform(0.08, 0.38, size=2)
+            angle = rng.uniform(0, np.pi)
+            args = (n, cy, cx, ay, ax, angle)
+            assert np.array_equal(_ellipse(*args), _fresh_ellipse(*args))
 
 
 def test_different_seeds_differ():

@@ -161,6 +161,24 @@ def test_walks_reproduce_recorded_arithmetic():
     assert (d_state.iteration, g_state.iteration) == (3, 3)
 
 
+@pytest.mark.parametrize("walk", ["gamma", "delta"])
+def test_gradient_whose_square_overflows_is_rejected(walk):
+    """A finite gradient whose square overflows stops either walk with NumericError, with no
+    warning, and leaves the walk state as it was."""
+    if walk == "gamma":  # grad = 2e200 / 0.1, a Python float
+        state = RegAdaptState(gamma=1.0)
+        def step():
+            return update_gamma(state, lambda g: 1e200 if g > 1 else -1e200, step_size=0.1)
+    else:  # grad = 1e200 in the first coordinate
+        state = DeltaOptState(delta=np.ones(2))
+        def step():
+            return update_delta(state, lambda d: 1e200 * float(d[0]), step_size=0.05)
+    with pytest.raises(NumericError, match="not finite"):
+        step()
+    assert (state.iteration, state.loss_history) == (0, [])
+    assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
+
+
 def test_gamma_clamped_to_bounds():
     state = RegAdaptState(gamma=1.0)
     for _ in range(40):  # push down hard

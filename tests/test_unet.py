@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,28 @@ from mricalib import (
     tweedie_denoise,
     unet_forward,
 )
+from mricalib import unet
 from mricalib.errors import FormatError, InvalidArgumentError
 from mricalib.phantom import PhantomSpec, make_phantom
-from mricalib.unet import _backward, _conv2d, _conv2d_bwd, _forward
+from mricalib.tensorio import read_tensor, write_tensor
+from mricalib.unet import (
+    _backward,
+    _conv2d,
+    _conv2d_bwd,
+    _decode_level,
+    _encode,
+    _forward,
+    _relu,
+    _skip_terms,
+    _up_term,
+)
 
 TINY = UNetArch(widths=(3, 4), bottleneck=5, emb_steps=6)
 C8 = UNetArch(widths=(8, 16), bottleneck=32, emb_steps=25)  # the acceptance-test prior
+
+# float32 inference against the float64 walk, relative in L2 and in max over peak; the
+# criterion-8 fixture network measured at most 1e-6 over its noise ladder
+F32_RTOL = 1e-5
 
 
 def _rand_image(rng, n=16):
@@ -244,8 +262,36 @@ def _reference_forward(x, t, delta, weights):
     return out[0, 0] + 1j * out[0, 1]
 
 
+def _f64_walk(x, t, delta, weights):
+    """`UNetScorePrior`'s walk run in float64 with float64 weights and nothing reused:
+    the split decoder for a calibration vector, the uncalibrated network for None or
+    all ones.  The reference for the float32 prior."""
+    P, L = weights.params, weights.arch.layer_count
+    if delta is not None and np.all(delta == 1.0):
+        delta = None
+    h, skips = _encode(np.stack([x.real, x.imag])[None], np.array([t]), weights)
+    for i in reversed(range(L)):
+        if delta is None:
+            h = _decode_level(i, h, skips[i], weights)
+        else:
+            low_term, high_term = _skip_terms(i, skips[i], weights)
+            h = _relu(_up_term(i, h, weights) + delta[2 * i] * low_term
+                      + delta[2 * i + 1] * high_term, False)[0]
+            h = _relu(_conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)[0], False)[0]
+    head = _conv2d(h, P["head.w"], P["head.b"], False)[0]
+    return head[0, 0] + 1j * head[0, 1]
+
+
+def _assert_f32_close(got, want):
+    assert got.dtype == np.complex128
+    err = got - want
+    assert np.linalg.norm(err) <= F32_RTOL * np.linalg.norm(want)
+    assert np.max(np.abs(err)) <= F32_RTOL * np.max(np.abs(want))
+
+
 def test_split_decoder_matches_concatenated_form():
-    """Calibrated outputs agree with the concatenated form to 1e-13; delta None is that form."""
+    """The float64 walk's calibrated outputs agree with the concatenated form to 1e-13, and
+    delta None is that form; the float32 network stays within F32_RTOL of it."""
     rng = np.random.default_rng(13)
     arch = UNetArch(widths=(3, 4, 4), bottleneck=5, emb_steps=6)
     w = init_weights(arch, seed=14)
@@ -254,7 +300,8 @@ def test_split_decoder_matches_concatenated_form():
     sigma = float(arch.sigma_ladder()[2])
     prior = UNetScorePrior(w)
 
-    assert np.array_equal(unet_forward(x, 2, None, w), _reference_forward(x, 2, None, w))
+    assert np.array_equal(_f64_walk(x, 2, None, w), _reference_forward(x, 2, None, w))
+    _assert_f32_close(unet_forward(x, 2, None, w), _reference_forward(x, 2, None, w))
 
     base = np.array([1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
     probes = [base, np.zeros(6), np.full(6, 2.0), np.ones(6)]
@@ -265,9 +312,57 @@ def test_split_decoder_matches_concatenated_form():
             probes.append(probe)
     for delta in probes:
         want = _reference_forward(x, 2, delta, w)
+        walked = _f64_walk(x, 2, delta, w)
+        assert np.max(np.abs(walked - want)) <= 1e-13 * np.max(np.abs(want)), delta
         got = unet_forward(x, 2, delta, w)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), delta
+        _assert_f32_close(got, want)
         assert np.array_equal(prior.evaluate(x, sigma, delta), -got / sigma)
+
+
+@pytest.mark.parametrize("calibratable", [True, False])
+def test_float32_prior_matches_float64_walk_on_prior_shapes(calibratable):
+    """On the acceptance prior's shapes, over the noise ladder and with calibration on and
+    off, the float32 prior stays within F32_RTOL of the float64 walk."""
+    rng = np.random.default_rng(17)
+    w = init_weights(C8, seed=18)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    sigmas = C8.sigma_ladder()
+    prior = UNetScorePrior(w, calibratable=calibratable)
+    clean = make_phantom(PhantomSpec(size=64, seed=19, contrast_exponent=1.5, bias_amplitude=0.3))
+    deltas = [None, np.ones(4), np.array([1.1, 0.9, 0.8, 1.2]), np.array([0.0, 2.0, 1.3, 0.7])]
+    for idx in (0, 8, 16, 24):  # sigma from 1 down to 0.01
+        x = clean + sigmas[idx] * _rand_image(rng, 64)
+        for delta in deltas:
+            used = delta if calibratable else None
+            want = _f64_walk(x, idx, used, w)
+            _assert_f32_close(-sigmas[idx] * prior.evaluate(x, float(sigmas[idx]), delta), want)
+            _assert_f32_close(unet_forward(x, idx, used, w), want)
+
+
+def test_inference_runs_in_float32(monkeypatch):
+    """The encoder state, the memoised skip and up terms and every conv's input, kernel and
+    output are float32 on both decoder paths; evaluate returns complex128."""
+    seen = set()
+    conv = unet._conv2d
+
+    def recording_conv(x, w, b, want_cache):
+        y, cache = conv(x, w, b, want_cache)
+        seen.add((x.dtype, w.dtype, y.dtype))
+        return y, cache
+
+    monkeypatch.setattr(unet, "_conv2d", recording_conv)
+    rng = np.random.default_rng(20)
+    w = init_weights(TINY, seed=21)
+    prior = UNetScorePrior(w)
+    x = _rand_image(rng)
+    for delta in (None, np.array([1.1, 0.9, 0.8, 1.2]), np.array([1.1, 0.9, 0.8, 1.25])):
+        assert prior.evaluate(x, 0.5, delta).dtype == np.complex128
+    enc = prior._encoded
+    held = [enc.h, *enc.skips, *(t for terms in enc.skip_terms for t in terms),
+            *(up for _, up in enc.ups.values())]
+    assert len(held) == 1 + 2 + 4 + 2
+    assert all(a.dtype == np.float32 for a in held)
+    assert seen == {(np.dtype(np.float32),) * 3}
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +434,28 @@ def test_descriptor_mismatch_rejected(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_payload_rejected(tmp_path, value):
+    path = tmp_path / "w.bt"
+    save_weights(path, init_weights(TINY, seed=4))
+    flat = read_tensor(path)
+    flat[7] = value
+    write_tensor(path, flat)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_weights(path)
+
+
+def test_prior_rejects_weights_beyond_float32():
+    """A weight the float32 cast would turn into inf is rejected; the largest float32 is not."""
+    w = init_weights(TINY, seed=4)
+    for value in (1e39, -1e39, np.nan):
+        w.params["head.b"][1] = value
+        with pytest.raises(InvalidArgumentError, match="head.b"):
+            UNetScorePrior(w)
+    w.params["head.b"][1] = -float(np.finfo(np.float32).max)
+    UNetScorePrior(w)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -373,6 +490,38 @@ def test_training_reduces_heldout_loss():
     loss0 = dsm_loss(w0, held, seed=11)
     loss1 = dsm_loss(trained, held, seed=11)
     assert loss1 < 0.5 * loss0
+
+
+# SHA-256 prefixes of _forward's output, _backward's gradients and one train_toy_denoiser
+# epoch in test_training_arithmetic_is_float64, recorded before inference moved to float32.
+# OpenBLAS kernels sum in different orders, so each kernel family has its own row.
+TRAINING_DIGESTS = {
+    "SkylakeX": ("3b1b373618ab6bd4", "5ccf4a46ac7aa060", "fc15e96a087591fb"),
+    "Haswell, Zen": ("3b1b373618ab6bd4", "ecd165f88246819f", "824706963d03b2cb"),
+    "Sandybridge": ("dbe892ebb9a621dd", "133ca5aa3682a22d", "ee4dc486ab6fee6a"),
+}
+
+
+def test_training_arithmetic_is_float64():
+    """_forward, _backward and one training epoch stay float64 and bit-identical to the
+    digests recorded before inference moved to float32."""
+    def digest(*arrays):
+        assert all(a.dtype == np.float64 for a in arrays)
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()[:16]
+
+    rng = np.random.default_rng(21)
+    w = init_weights(TINY, seed=22)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    out, cache = _forward(rng.standard_normal((2, 2, 8, 8)), np.array([1, 4]), w, want_cache=True)
+    grads = _backward(rng.standard_normal(out.shape), cache, w)
+    data = [make_phantom(PhantomSpec(size=8, seed=s)) for s in range(4)]
+    trained = train_toy_denoiser(data, epochs=1, seed=23, arch=TINY, batch_size=2)
+    got = (digest(out), digest(*(grads[k] for k in sorted(grads))),
+           digest(*(trained.params[k] for k in sorted(trained.params))))
+    assert got in TRAINING_DIGESTS.values()
 
 
 def test_empty_dataset_rejected():
@@ -449,7 +598,9 @@ def test_memoized_evaluate_matches_fresh_forward():
     def check(x, sigma, delta):
         used = delta if prior.calibratable else None
         idx = int(np.argmin(np.abs(sigmas - sigma)))
-        expected = -unet_forward(x, idx, used, w) / sigma
+        eps_hat = unet_forward(x, idx, used, w)
+        _assert_f32_close(eps_hat, _f64_walk(x, idx, used, w))
+        expected = -eps_hat / sigma
         assert np.array_equal(prior.evaluate(x, sigma, delta), expected)
         return expected
 
