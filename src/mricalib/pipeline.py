@@ -14,8 +14,9 @@ Each reverse step runs, in order:
 5. the transition of both iterates to the next noise level, with the
    same renoise seed.
 
-Each denoise-and-solve is one calibration.one_step_recon; its solve
-reads a measurement set through Aᴴy, computed once before the loop.
+Steps 2 to 4 denoise at one (sigma, delta), so a step denoises each of
+their inputs once and the solves share the result; each solve reads a
+measurement set through Aᴴy, computed once before the loop.
 
 The reconstruction-set-only iterate keeps the held-out k-space out of
 the calibration input, at one extra prior evaluation and CG solve a
@@ -28,7 +29,8 @@ so at a terminal level of 1 the loop lands on the closed-form MAP
 solution  (gamma AᴴA + (Sigma + sigma_min^2 I)^(-1))^(-1) gamma Aᴴy,
 which the oracle tests pin down.
 
-All randomness is seeded, so a full run is bit-reproducible.
+All randomness is seeded, so a full run is bit-reproducible within one
+OpenBLAS kernel family (SkylakeX, Haswell/Zen, ...).
 """
 
 from __future__ import annotations
@@ -43,12 +45,11 @@ import numpy as np
 from .calibration import (
     DeltaOptState,
     delta_penalty,
-    one_step_recon,
     partition_mask,
     ssl_loss,
     update_delta,
 )
-from .cg import CGConfig
+from .cg import CGConfig, solve_p3
 from .errors import InvalidArgumentError, NumericError
 from .forward import (
     ForwardOperator,
@@ -61,7 +62,7 @@ from .forward import (
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, identity_delta
-from .sampler import RENOISE_MODES, build_schedule, renoise
+from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
 from .regularization import RegAdaptState, convergence_criterion, sure_loss, update_gamma
 from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule, check_settings, one_of, setting
 
@@ -185,28 +186,36 @@ def reconstruct(
 
         loss_ssl = None
         if run_fpc:
-            def objective(d, _sigma=sigma, _w=gamma, _xl=x_lambda):
-                loss = ssl_loss(d, _xl, _sigma, cfg.tau_ssl, prior, x_zf_l, op_l, y_g, op_g,
-                                _w, cfg.cg)
+            def objective(d):
+                loss = ssl_loss(d, x_lambda, sigma, cfg.tau_ssl, prior, x_zf_l, op_l, y_g, op_g,
+                                gamma, cfg.cg)
                 return loss + delta_penalty(d)
 
             delta_state = update_delta(delta_state, objective, cfg.delta_step)
             loss_ssl = delta_state.loss_history[-1]
-            x_lambda_hat = one_step_recon(x_lambda, sigma, prior, delta_state.delta,
-                                          x_zf_l, op_l, gamma, cfg.cg).x
 
-        p3 = one_step_recon(x, sigma, prior, delta_state.delta, x_zf, op, gamma, cfg.cg)
+        denoised: dict[bytes, np.ndarray] = {}  # x_lambda, x, x + eps mu; sigma, delta fixed
+
+        def denoise(v):
+            key = v.tobytes()
+            if key not in denoised:
+                denoised[key] = tweedie_denoise(v, sigma, prior, delta_state.delta)
+            return denoised[key]
+
+        if run_fpc:
+            x_lambda_hat = solve_p3(denoise(x_lambda), x_zf_l, op_l, gamma, cfg.cg).x
+        p3 = solve_p3(denoise(x), x_zf, op, gamma, cfg.cg)
 
         loss_reg = None
         conv = None
         if cfg.enable_rpa and not reg_state.stopped:
             eps = max(SURE_EPS_SCALE * float(np.max(np.abs(x))), 1e-12)
 
-            def composite(g, v, _sigma=sigma, _d=delta_state.delta):
-                return one_step_recon(v, _sigma, prior, _d, x_zf, op, g, cfg.cg).x
+            def composite(g, v):
+                return solve_p3(denoise(v), x_zf, op, g, cfg.cg).x
 
-            def loss_fn(g, _eps=eps, _t=t):
-                return sure_loss(g, x, x_zf, composite, _eps, (cfg.seed_mc, _t))
+            def loss_fn(g):
+                return sure_loss(g, x, x_zf, composite, eps, (cfg.seed_mc, t))
 
             reg_state = update_gamma(reg_state, loss_fn, cfg.gamma_step)
             gamma = reg_state.gamma

@@ -11,10 +11,15 @@ the same declarations.  Rules are written so that NaN breaks them
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
 from .errors import InvalidArgumentError
+
+
+def _is_int(v: Any) -> bool:  # NumPy integers count; bool, whose True passes as 1, does not
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -26,8 +31,8 @@ class Rule:
 
 POSITIVE = Rule("a finite number > 0", lambda v: not 0 < v < math.inf)
 NON_NEGATIVE = Rule("a finite number >= 0", lambda v: not 0 <= v < math.inf)
-COUNT = Rule("an integer >= 1", lambda v: not v >= 1)
-SEED = Rule("an integer >= 0", lambda v: not v >= 0)
+COUNT = Rule("an integer >= 1", lambda v: not (_is_int(v) and v >= 1))
+SEED = Rule("an integer >= 0", lambda v: not (_is_int(v) and v >= 0))
 
 
 def one_of(*choices: str) -> Rule:

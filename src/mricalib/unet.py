@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -111,9 +110,6 @@ class UNetArch:
 class UNetWeights:
     arch: UNetArch
     params: dict[str, np.ndarray]
-
-    def copy(self) -> "UNetWeights":
-        return UNetWeights(self.arch, {k: v.copy() for k, v in self.params.items()})
 
 
 def init_weights(arch: UNetArch, seed: int = 0) -> UNetWeights:
@@ -430,10 +426,10 @@ class UNetScorePrior(ScorePrior):
     - for that input, each level's up term conv_up(up) + b, keyed on the
       calibration entries of the deeper levels (delta[2(i+1):]); a probe
       that moves (alpha_l, beta_l) costs two scaled adds at level l, then
-      the rest of level l and the full levels below it;
-    - the last `OUTPUTS_KEPT` network outputs, keyed on (input bytes,
-      noise index, calibration vector); repeated evaluations, such as the
-      risk probes at the iterate the main step already denoised, are free.
+      the rest of level l and the full levels below it.
+
+    The prior keeps no outputs: `pipeline.reconstruct` denoises each input
+    once per step and shares the result.
 
     A calibrated level sums the split terms where the uncalibrated network
     convolves the joined channels, so a calibrated output differs from the
@@ -443,16 +439,13 @@ class UNetScorePrior(ScorePrior):
     bit for bit and an uncalibrated run pays for no split terms.
 
     The network runs in float32 on a copy of the weights cast once here;
-    the output goes back to complex128 before it is kept or returned, and
+    the output goes back to complex128 before it is returned, and
     lies within 1e-5 relative of the float64 walk.  Later changes to the
     caller's `weights.params` do not reach the prior, so build a new one.
 
     The memory this holds is bounded by one set of encoder activations and
-    three first-conv outputs per level, plus `OUTPUTS_KEPT` images and
-    their keys.
+    three first-conv outputs per level.
     """
-
-    OUTPUTS_KEPT = 4
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
         limit = float(np.finfo(np.float32).max)
@@ -465,7 +458,6 @@ class UNetScorePrior(ScorePrior):
         self.calibratable = calibratable
         self._sigmas = weights.arch.sigma_ladder()
         self._encoded: _EncoderState | None = None
-        self._outputs: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
     @property
     def layer_count(self) -> int:
@@ -497,12 +489,6 @@ class UNetScorePrior(ScorePrior):
             if np.all(delta == 1.0):
                 delta = None
         in_key = (x.shape, x.tobytes(), idx)
-        out_key = in_key + (None if delta is None else delta.tobytes(),)
-        out = self._outputs.get(out_key)
-        if out is not None:
-            self._outputs.move_to_end(out_key)
-            return out
-
         enc = self._encoded
         if enc is None or enc.key != in_key:
             x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
@@ -544,11 +530,7 @@ class UNetScorePrior(ScorePrior):
                 up = None
 
         head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
-        out = (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
-        self._outputs[out_key] = out
-        if len(self._outputs) > self.OUTPUTS_KEPT:
-            self._outputs.popitem(last=False)
-        return out
+        return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------

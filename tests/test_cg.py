@@ -90,6 +90,13 @@ def test_config_validation():
         CGConfig(tol=0.0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, True, np.float64(3.0)])
+def test_iteration_cap_must_be_an_integer(max_iters):
+    assert CGConfig(max_iters=np.int32(3)).max_iters == 3  # NumPy integers stay legal
+    with pytest.raises(InvalidArgumentError, match="max_iters"):
+        CGConfig(max_iters=max_iters)
+
+
 # ---------------------------------------------------------------------------
 # proximal data-fidelity solve
 # ---------------------------------------------------------------------------

@@ -159,6 +159,16 @@ def test_gamma_zero_requires_rpa_off():
         ReconConfig(gamma_init=0.0, enable_rpa=True)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", 2.5), ("window", 2.5), ("seed_init", 0.5), ("steps", True), ("seed_mc", False),
+    ("seed_noise", np.float64(3.0)),
+])
+def test_count_and_seed_settings_must_be_integers(field, value):
+    assert getattr(ReconConfig(**{field: np.int64(3)}), field) == 3  # NumPy integers stay legal
+    with pytest.raises(InvalidArgumentError, match=field):
+        ReconConfig(**{field: value})
+
+
 def test_data_consistency_beats_prior_only():
     phantom, op, y = _problem(seed=9)
     prior = white_prior(32, 32)
@@ -233,6 +243,35 @@ def test_unet_prior_reuse_is_bit_identical_end_to_end():
             else:
                 assert va == vb, f.name
     assert r_memo.psnr == r_fresh.psnr and r_memo.ssim == r_fresh.ssim
+
+
+class _EvaluationLog(ScorePrior):
+    """Unit white-noise score claiming two calibratable layers; logs every evaluation."""
+
+    layer_count = 2
+
+    def __init__(self):
+        self.calls = []
+
+    def evaluate(self, x, sigma, delta=None):
+        self.calls.append((sigma, x.tobytes(), None if delta is None else delta.tobytes()))
+        return -x / (1.0 + sigma**2)
+
+
+@pytest.mark.parametrize("enable_fpc", [False, True])
+def test_each_step_denoises_each_input_once(enable_fpc):
+    """Within a step the main solve and the risk probes share their denoised images."""
+    phantom, op, y = _problem(seed=21)
+    prior = _EvaluationLog()
+    cfg = ReconConfig(**FAST, enable_fpc=enable_fpc, enable_rpa=True)
+    _, report = reconstruct(y, op, prior, cfg)
+    for rec in report.records:
+        assert rec.loss_reg is not None  # the risk walk ran in this step
+        step = [call[1:] for call in prior.calls if call[0] == rec.sigma]
+        if enable_fpc:
+            assert len(step) > 2 and len(step) == len(set(step))
+        else:
+            assert len(step) == 2  # the main iterate and the risk probe point
 
 
 @pytest.mark.parametrize("enable_fpc, adjoints", [(True, 2), (False, 1)])

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,8 +429,8 @@ def test_descriptor_mismatch_rejected(tmp_path):
     path = tmp_path / "w.bt"
     save_weights(path, w)
     arch_path = f"{path}.arch"
-    text = open(arch_path).read().replace("widths=3,4", "widths=3,4,8")
-    open(arch_path, "w").write(text)
+    text = Path(arch_path).read_text().replace("widths=3,4", "widths=3,4,8")
+    Path(arch_path).write_text(text)
     with pytest.raises(FormatError, match="payload length"):
         load_weights(path)
 
