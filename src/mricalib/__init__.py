@@ -5,7 +5,6 @@ from .calibration import (
     DeltaOptState,
     MaskPartition,
     delta_penalty,
-    one_step_recon,
     partition_mask,
     ssl_loss,
     update_delta,

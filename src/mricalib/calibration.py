@@ -2,14 +2,16 @@
 
 The sampled k-space locations are split into a reconstruction set and a
 held-out set (a Gaussian-weighted pointwise draw, so both children are
-2-D subsampling patterns).  The calibration objective reconstructs one
-denoise + data-fidelity step from the reconstruction set only, starting
-from an iterate that has itself only seen the reconstruction set, and
-scores the residual on the held-out set relative to the held-out energy
-(the SSDU split of Yaman et al., MRM 2020).  Being relative, the held-out
-term stays O(1) at every noise level, so the quadratic pull toward the
-all-ones vector keeps the calibrated network anchored to the pretrained
-one throughout the ladder.
+2-D subsampling patterns).  The calibration objective scores a one-step
+reconstruction (denoise + data-fidelity solve from the reconstruction set
+only, starting from an iterate that has itself only seen the
+reconstruction set) by its residual on the held-out set relative to the
+held-out energy (the SSDU split of Yaman et al., MRM 2020).  This module
+only scores: `pipeline.reconstruct` issues every denoise and solve of a
+step, the calibration probes' one-step reconstructions included.  Being
+relative, the held-out term stays O(1) at every noise level, so the
+quadratic pull toward the all-ones vector keeps the calibrated network
+anchored to the pretrained one throughout the ladder.
 
 The calibration vector is tiny (two scalars per skip layer), so it is
 optimized derivative-free: central differences per coordinate, followed
@@ -23,12 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cg import CGConfig, CGResult, solve_p3
 from .errors import InvalidArgumentError, NumericError
 from .forward import ForwardOperator, SamplingMask, apply_forward
-from .priors import ScorePrior, clamp_delta
+from .priors import clamp_delta
 from .regularization import moment_step
-from .sampler import tweedie_denoise
 
 DELTA_FD_STEP = 0.01  # central-difference probe size per calibration coordinate
 
@@ -74,53 +74,19 @@ def partition_mask(mask: SamplingMask, holdout_fraction: float, seed: int = 0) -
     return MaskPartition(lambda_bits, gamma_bits)
 
 
-def one_step_recon(
-    x: np.ndarray,
-    sigma: float,
-    prior: ScorePrior,
-    delta: np.ndarray | None,
-    x_adj: np.ndarray,
-    op: ForwardOperator,
-    fidelity_weight: float,
-    cg_cfg: CGConfig,
-) -> CGResult:
-    """One denoise step followed by one data-fidelity solve; x_adj is Aᴴy of the set."""
-    x_dot = tweedie_denoise(x, sigma, prior, delta)
-    return solve_p3(x_dot, x_adj, op, fidelity_weight, cg_cfg)
+def ssl_loss(x_hat: np.ndarray, y_gamma: np.ndarray, op_gamma: ForwardOperator) -> float:
+    """Relative held-out k-space residual || y_held - A_held x_hat ||^2 / || y_held ||^2.
 
-
-def ssl_loss(
-    delta: np.ndarray,
-    x_lambda: np.ndarray,
-    sigma: float,
-    tau: float,
-    prior: ScorePrior,
-    x_adj_lambda: np.ndarray,
-    op_lambda: ForwardOperator,
-    y_gamma: np.ndarray,
-    op_gamma: ForwardOperator,
-    fidelity_weight: float,
-    cg_cfg: CGConfig,
-) -> float:
-    """Relative held-out k-space residual of the one-step reconstruction.
-
-    Returns tau * || y_held - A_held f(delta; x) ||^2 / || y_held ||^2,
-    i.e. tau/2 * ||residual||^2 normalized by 1/2 * ||y_held||^2, where f
-    sees the reconstruction-set measurements only, through their Aᴴy
-    x_adj_lambda.  x_lambda must not carry information from the held-out
-    set either, so the held-out residual probes how well the calibrated
-    prior generalizes.  A held-out set without energy leaves nothing to
-    score and raises NumericError.
+    x_hat is the one-step reconstruction the caller built from the
+    reconstruction set alone, so the held-out residual probes how well the
+    calibrated prior generalizes.  A held-out set without energy leaves
+    nothing to score and raises NumericError.
     """
-    if not tau > 0:
-        raise InvalidArgumentError("tau must be > 0")
     held_energy = float(np.real(np.vdot(y_gamma, y_gamma)))
     if not held_energy > 0:
         raise NumericError("held-out k-space has no energy to normalize the loss by")
-    x_hat = one_step_recon(x_lambda, sigma, prior, delta, x_adj_lambda, op_lambda,
-                           fidelity_weight, cg_cfg).x
     resid = y_gamma - apply_forward(x_hat, op_gamma)
-    val = tau * float(np.real(np.vdot(resid, resid))) / held_energy
+    val = float(np.real(np.vdot(resid, resid))) / held_energy
     if not np.isfinite(val):
         raise NumericError("self-supervised loss evaluated to a non-finite value")
     return val

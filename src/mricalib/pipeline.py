@@ -14,9 +14,13 @@ Each reverse step runs, in order:
 5. the transition of both iterates to the next noise level, with the
    same renoise seed.
 
+`reconstruct` issues every denoise and data-fidelity solve of a step:
+the calibration probes' one-step reconstructions (which `ssl_loss` only
+scores), the reconstruction-set step, the main step and the risk probes.
 Steps 2 to 4 denoise at one (sigma, delta), so a step denoises each of
-their inputs once and the solves share the result; each solve reads a
-measurement set through Aᴴy, computed once before the loop.
+their inputs once and the solves share the result; the calibration probes
+vary delta and denoise on their own.  Each solve reads a measurement set
+through Aᴴy, computed once before the loop.
 
 The reconstruction-set-only iterate keeps the held-out k-space out of
 the calibration input, at one extra prior evaluation and CG solve a
@@ -64,9 +68,10 @@ from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, identity_delta
 from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
 from .regularization import RegAdaptState, convergence_criterion, sure_loss, update_gamma
-from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, Rule, check_settings, one_of, setting
+from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, check_settings, one_of, setting
 
 SURE_EPS_SCALE = 1e-3  # risk probe size relative to max |x| of the iterate
+HOLDOUT_FRACTION = 0.2  # share of sampled k-space held out for calibration
 
 
 @dataclass
@@ -81,8 +86,6 @@ class ReconConfig:
     tau_reg: float = setting(0.001, "early-stop threshold of the weight walk", NON_NEGATIVE)
     window: int = setting(5, "sliding-window length of the early stop", COUNT)
     cg: CGConfig = setting(help="data-fidelity solver", default_factory=CGConfig)
-    holdout_fraction: float = setting(0.2, "share of sampled k-space held out for calibration",
-                                      Rule("in (0, 1)", lambda v: not 0 < v < 1))
     tau_ssl: float = setting(1.0, "weight of the held-out loss", POSITIVE)
     enable_fpc: bool = setting(True, "prior calibration (the flag turns it off)",
                                flag="--disable-fpc")
@@ -113,8 +116,9 @@ class StepRecord:
     sigma: float
     delta: np.ndarray
     gamma: float
-    loss_ssl: float | None
-    loss_reg: float | None
+    # mean objective over the step's probes, not a plain held-out error or risk:
+    loss_ssl: float | None  # tau * held-out error + delta penalty, two probes per delta entry
+    loss_reg: float | None  # risk estimate at the two gamma probes
     conv_metric: float | None
     cg_residual: float
     cg_iters: int
@@ -169,7 +173,7 @@ def reconstruct(
     gamma = cfg.gamma_init
 
     if run_fpc:
-        part = partition_mask(op.mask, cfg.holdout_fraction, cfg.seed_partition)
+        part = partition_mask(op.mask, HOLDOUT_FRACTION, cfg.seed_partition)
         op_l, op_g = op.with_mask(part.lambda_bits), op.with_mask(part.gamma_bits)
         x_zf_l, y_g = apply_adjoint(y, op_l), y * part.gamma_bits[None]
     x_zf = apply_adjoint(y, op)
@@ -187,9 +191,9 @@ def reconstruct(
         loss_ssl = None
         if run_fpc:
             def objective(d):
-                loss = ssl_loss(d, x_lambda, sigma, cfg.tau_ssl, prior, x_zf_l, op_l, y_g, op_g,
-                                gamma, cfg.cg)
-                return loss + delta_penalty(d)
+                x_hat = solve_p3(tweedie_denoise(x_lambda, sigma, prior, d), x_zf_l, op_l, gamma,
+                                 cfg.cg).x
+                return cfg.tau_ssl * ssl_loss(x_hat, y_g, op_g) + delta_penalty(d)
 
             delta_state = update_delta(delta_state, objective, cfg.delta_step)
             loss_ssl = delta_state.loss_history[-1]

@@ -220,8 +220,7 @@ def low_band(feat: np.ndarray, cutoff: float) -> np.ndarray:
     fy = np.fft.fftfreq(H) * 2.0  # Nyquist normalized to |1|
     fx = np.fft.fftfreq(W) * 2.0
     keep = (fy[:, None] ** 2 + fx[None, :] ** 2) <= cutoff**2
-    low = np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
-    return low.astype(feat.dtype, copy=False)  # numpy < 2 transforms float32 in double
+    return np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
 
 
 def modulate_bands(feat: np.ndarray, alpha: float, beta: float, cutoff: float) -> np.ndarray:

@@ -219,9 +219,11 @@ def test_reconstruct_with_network_prior(tmp_path):
     ["--band-cutoff", "0.3"],
     ["--delta-init", "1.5"],
     ["--sure-form", "additive"],
+    ["--holdout-fraction", "0.3"],
 ], ids=lambda extra: " ".join(extra))
 def test_removed_flag_is_rejected(tmp_path, sim16, extra):
-    """Calibration is switched off only by --disable-fpc; the band cutoff comes from the weights."""
+    """Calibration is switched off only by --disable-fpc; the band cutoff comes from the weights;
+    the holdout share is a constant."""
     with pytest.raises(SystemExit) as exc:
         _run([
             "reconstruct", "--kspace", str(sim16 / "kspace.bt"), "--mask", str(sim16 / "mask.bt"),
@@ -281,7 +283,6 @@ SETTING_FLAGS = [
     (["--window", "3"], "window", 3),
     (["--cg-iters", "9"], "cg.max_iters", 9),
     (["--cg-tol", "1e-9"], "cg.tol", 1e-9),
-    (["--holdout-fraction", "0.3"], "holdout_fraction", 0.3),
     (["--tau-ssl", "2.0"], "tau_ssl", 2.0),
     (["--disable-fpc"], "enable_fpc", False),
     (["--disable-rpa"], "enable_rpa", False),

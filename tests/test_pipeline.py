@@ -26,7 +26,7 @@ from mricalib import (
     trace_columns,
     white_prior,
 )
-from mricalib import forward, pipeline
+from mricalib import calibration, forward, pipeline
 from mricalib.errors import InvalidArgumentError, NumericError
 from mricalib.unet import UNetArch, UNetScorePrior, init_weights, unet_forward
 
@@ -193,16 +193,16 @@ class _CalibrationBlindPrior(ScorePrior):
 def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
     phantom, op, y = _problem(seed=17)
     cfg = ReconConfig(**FAST, enable_fpc=True, enable_rpa=False, renoise_mode="stochastic")
-    held = partition_mask(op.mask, cfg.holdout_fraction, cfg.seed_partition).gamma_bits
+    held = partition_mask(op.mask, pipeline.HOLDOUT_FRACTION, cfg.seed_partition).gamma_bits
     y_other = y + 0.5 * held[None]  # differs from y on the held-out entries only
     real_ssl_loss = pipeline.ssl_loss
 
     def inputs_seen(y_run):
         seen = []
 
-        def spy(delta, x_lambda, *args):
-            seen.append(np.array(x_lambda, copy=True))
-            return real_ssl_loss(delta, x_lambda, *args)
+        def spy(x_hat, *args):
+            seen.append(np.array(x_hat, copy=True))
+            return real_ssl_loss(x_hat, *args)
 
         monkeypatch.setattr(pipeline, "ssl_loss", spy)
         reconstruct(y_run, op, _CalibrationBlindPrior(), cfg)
@@ -212,6 +212,22 @@ def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
     assert len(first) == len(second) == 2 * 2 * cfg.steps  # central differences, 2 entries
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_tau_ssl_scales_only_the_held_out_term():
+    # the prior ignores delta, so delta stays at ones and every run walks the same x_lambda:
+    # loss_ssl(tau) = tau * E_t + P_t, with P_t the mean penalty of the +-DELTA_FD_STEP probes
+    phantom, op, y = _problem(seed=20)
+    losses = []
+    for tau in (1.0, 2.0, 3.0):
+        cfg = ReconConfig(**FAST, enable_fpc=True, enable_rpa=False, tau_ssl=tau)
+        _, report = reconstruct(y, op, _CalibrationBlindPrior(), cfg)
+        losses.append(np.array([r.loss_ssl for r in report.records]))
+    first, second = losses[1] - losses[0], losses[2] - losses[1]
+    assert np.all(first > 0)
+    assert np.all(np.abs(second - first) <= 1e-9 * first)
+    penalty = 0.5 * calibration.DELTA_FD_STEP**2
+    assert np.all(np.abs(losses[0] - first - penalty) <= 1e-9 * losses[0])
 
 
 class _FreshUNetPrior(ScorePrior):
