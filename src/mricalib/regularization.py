@@ -131,11 +131,12 @@ def update_gamma(
     """
     if state.stopped:
         return state
-    u = np.log(state.gamma)
+    u, h = np.log(state.gamma), GAMMA_FD_STEP
     lo, hi = np.log(GAMMA_BOUNDS[0]), np.log(GAMMA_BOUNDS[1])
-    f_plus = loss_fn(float(np.exp(min(u + GAMMA_FD_STEP, hi))))
-    f_minus = loss_fn(float(np.exp(max(u - GAMMA_FD_STEP, lo))))
-    grad = (f_plus - f_minus) / (2 * GAMMA_FD_STEP)
+    f_plus = loss_fn(float(np.exp(min(u + h, hi))))
+    f_minus = loss_fn(float(np.exp(max(u - h, lo))))
+    # divide by the clamped width, in a form that is exactly 2h where neither probe is clamped
+    grad = (f_plus - f_minus) / (2 * h - max(u + h - hi, 0.0) - max(lo - (u - h), 0.0))
     # short-horizon walk over a noisy 1-D objective: modest momentum
     step = moment_step(state, [f_plus, f_minus], grad, step_size, b1=0.7)
     state.gamma = float(np.exp(np.clip(u - step, lo, hi)))

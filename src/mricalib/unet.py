@@ -7,6 +7,10 @@ recomposed as  alpha_l * LOW(F_l) + beta_l * (F_l - LOW(F_l))  where LOW
 keeps DFT coefficients inside a radius `band_cutoff` * Nyquist (the high
 band is formed by subtraction, so the band partition is exact).
 
+Each encoder level, the bottleneck and each decoder level is one block,
+conv-ReLU-conv-ReLU (`_block`, `_block_bwd`); the bottleneck adds its
+noise-level embedding after the first conv, and a head conv ends the net.
+
 A calibration vector other than all ones splits each decoder level's first
 conv by linearity into an up term and two skip-band terms, which the score
 adapter reuses across calibration probes; their sum rounds differently
@@ -80,26 +84,22 @@ class UNetArch:
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         k = self.kernel
         shapes: dict[str, tuple[int, ...]] = {}
+
+        def block(name: str, cin: int, cout: int) -> None:
+            shapes[f"{name}.c1.w"] = (cout, cin, k, k)
+            shapes[f"{name}.c1.b"] = (cout,)
+            shapes[f"{name}.c2.w"] = (cout, cout, k, k)
+            shapes[f"{name}.c2.b"] = (cout,)
+
         prev = self.in_channels
         for i, w in enumerate(self.widths):
-            shapes[f"enc{i}.c1.w"] = (w, prev, k, k)
-            shapes[f"enc{i}.c1.b"] = (w,)
-            shapes[f"enc{i}.c2.w"] = (w, w, k, k)
-            shapes[f"enc{i}.c2.b"] = (w,)
+            block(f"enc{i}", prev, w)
             prev = w
-        b = self.bottleneck
-        shapes["bot.c1.w"] = (b, prev, k, k)
-        shapes["bot.c1.b"] = (b,)
-        shapes["bot.c2.w"] = (b, b, k, k)
-        shapes["bot.c2.b"] = (b,)
-        prev = b
+        block("bot", prev, self.bottleneck)
+        prev = self.bottleneck
         for i in reversed(range(self.layer_count)):
-            w = self.widths[i]
-            shapes[f"dec{i}.c1.w"] = (w, prev + w, k, k)
-            shapes[f"dec{i}.c1.b"] = (w,)
-            shapes[f"dec{i}.c2.w"] = (w, w, k, k)
-            shapes[f"dec{i}.c2.b"] = (w,)
-            prev = w
+            block(f"dec{i}", prev + self.widths[i], self.widths[i])
+            prev = self.widths[i]
         shapes["head.w"] = (self.in_channels, prev, k, k)
         shapes["head.b"] = (self.in_channels,)
         shapes["emb"] = (self.emb_steps, self.bottleneck)
@@ -245,56 +245,61 @@ def _check_input(shape: tuple[int, ...], t_idx: np.ndarray, arch: UNetArch) -> N
         raise InvalidArgumentError("noise-level index out of embedding range")
 
 
+def _block(name: str, h: np.ndarray, weights: UNetWeights, cache: dict | None = None,
+           emb: np.ndarray | None = None) -> np.ndarray:
+    """Conv c1, plus `emb` if given, then `_block_tail`; a cache keeps (c1, r1, c2, r2)."""
+    P = weights.params
+    want_cache = cache is not None
+    h, c1 = _conv2d(h, P[f"{name}.c1.w"], P[f"{name}.c1.b"], want_cache)
+    if emb is not None:
+        h = h + emb
+    h, tail = _block_tail(name, h, weights, want_cache)
+    if want_cache:
+        cache[name] = (c1, *tail)
+    return h
+
+
+def _block_tail(name: str, h: np.ndarray, weights: UNetWeights, want_cache: bool = False):
+    """A block from its first conv's output on: ReLU, conv c2, ReLU.  Returns (h, (r1, c2, r2))."""
+    P = weights.params
+    h, r1 = _relu(h, want_cache)
+    h, c2 = _conv2d(h, P[f"{name}.c2.w"], P[f"{name}.c2.b"], want_cache)
+    h, r2 = _relu(h, want_cache)
+    return h, (r1, c2, r2)
+
+
+def _block_bwd(name: str, dh: np.ndarray, cache: dict, grads: dict[str, np.ndarray]):
+    """Backward of `_block` into `grads`; returns the gradients at its input and at c1's output."""
+    c1, r1, c2, r2 = cache[name]
+    dh, grads[f"{name}.c2.w"], grads[f"{name}.c2.b"] = _conv2d_bwd(dh * r2, c2)
+    d_c1 = dh * r1
+    dh, grads[f"{name}.c1.w"], grads[f"{name}.c1.b"] = _conv2d_bwd(d_c1, c1)
+    return dh, d_c1
+
+
 def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict | None = None):
     """Preconditioning, encoder levels and the embedded bottleneck: returns (h, skips).
 
     None of this depends on the calibration vector.
     """
     arch = weights.arch
-    P = weights.params
-    want_cache = cache is not None
 
     # precondition: keep activations O(1) across noise levels; the factor is
     # cast so that it does not promote a float32 input to float64
     sigma_t = arch.sigma_ladder()[t_idx]
-    x = x / np.sqrt(1.0 + sigma_t**2).astype(x.dtype)[:, None, None, None]
+    h = x / np.sqrt(1.0 + sigma_t**2).astype(x.dtype)[:, None, None, None]
 
     skips = []
-    h = x
     for i in range(arch.layer_count):
-        h, c1 = _conv2d(h, P[f"enc{i}.c1.w"], P[f"enc{i}.c1.b"], want_cache)
-        h, r1 = _relu(h, want_cache)
-        h, c2 = _conv2d(h, P[f"enc{i}.c2.w"], P[f"enc{i}.c2.b"], want_cache)
-        skip, r2 = _relu(h, want_cache)
-        skips.append(skip)
-        h = _pool2(skip)
-        if want_cache:
-            cache[f"enc{i}"] = (c1, r1, c2, r2)
-
-    h, c1 = _conv2d(h, P["bot.c1.w"], P["bot.c1.b"], want_cache)
-    h = h + P["emb"][t_idx][:, :, None, None]
-    h, r1 = _relu(h, want_cache)
-    h, c2 = _conv2d(h, P["bot.c2.w"], P["bot.c2.b"], want_cache)
-    h, r2 = _relu(h, want_cache)
-    if want_cache:
-        cache["bot"] = (c1, r1, c2, r2)
-    return h, skips
+        skips.append(_block(f"enc{i}", h, weights, cache))
+        h = _pool2(skips[-1])
+    return _block("bot", h, weights, cache, weights.params["emb"][t_idx][:, :, None, None]), skips
 
 
 def _decode_level(i: int, h: np.ndarray, skip: np.ndarray, weights: UNetWeights,
                   cache: dict | None = None) -> np.ndarray:
-    """Uncalibrated decoder level i: upsample h, join the raw skip, two conv + ReLU."""
-    P = weights.params
-    want_cache = cache is not None
-    up = _up2(h)
-    h = np.concatenate([up, skip], axis=1)
-    h, c1 = _conv2d(h, P[f"dec{i}.c1.w"], P[f"dec{i}.c1.b"], want_cache)
-    h, r1 = _relu(h, want_cache)
-    h, c2 = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], want_cache)
-    h, r2 = _relu(h, want_cache)
-    if want_cache:
-        cache[f"dec{i}"] = (c1, r1, c2, r2, up.shape[1])
-    return h
+    """Uncalibrated decoder level i: upsample h, join the raw skip, one block."""
+    return _block(f"dec{i}", np.concatenate([_up2(h), skip], axis=1), weights, cache)
 
 
 # A calibrated decoder level splits its first conv by linearity over the
@@ -345,37 +350,23 @@ def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.nda
     The skip branch gradient flows through the raw skip tensor.
     """
     arch = weights.arch
-    P = weights.params
     L = arch.layer_count
-    grads = {name: np.zeros_like(p) for name, p in P.items()}
+    grads = {name: np.zeros_like(p) for name, p in weights.params.items()}
 
     dh, grads["head.w"], grads["head.b"] = _conv2d_bwd(dout, cache["head"])
 
     dskips: list[np.ndarray | None] = [None] * L
     for i in range(L):
-        c1, r1, c2, r2, up_ch = cache[f"dec{i}"]
-        dh = dh * r2
-        dh, grads[f"dec{i}.c2.w"], grads[f"dec{i}.c2.b"] = _conv2d_bwd(dh, c2)
-        dh = dh * r1
-        dh, grads[f"dec{i}.c1.w"], grads[f"dec{i}.c1.b"] = _conv2d_bwd(dh, c1)
-        dup, dskip = dh[:, :up_ch], dh[:, up_ch:]
-        dskips[i] = dskip
-        dh = _up2_bwd(dup)
+        dh, _ = _block_bwd(f"dec{i}", dh, cache, grads)
+        skip_ch = arch.widths[i]  # the joined input is [up, skip]
+        dskips[i] = dh[:, -skip_ch:]
+        dh = _up2_bwd(dh[:, :-skip_ch])
 
-    c1, r1, c2, r2 = cache["bot"]
-    dh = dh * r2
-    dh, grads["bot.c2.w"], grads["bot.c2.b"] = _conv2d_bwd(dh, c2)
-    dh = dh * r1
-    np.add.at(grads["emb"], cache["t_idx"], dh.sum(axis=(2, 3)))
-    dh, grads["bot.c1.w"], grads["bot.c1.b"] = _conv2d_bwd(dh, c1)
+    dh, d_emb = _block_bwd("bot", dh, cache, grads)
+    np.add.at(grads["emb"], cache["t_idx"], d_emb.sum(axis=(2, 3)))
 
     for i in reversed(range(L)):
-        c1, r1, c2, r2 = cache[f"enc{i}"]
-        dskip = _pool2_bwd(dh) + dskips[i]
-        dskip = dskip * r2
-        dh, grads[f"enc{i}.c2.w"], grads[f"enc{i}.c2.b"] = _conv2d_bwd(dskip, c2)
-        dh = dh * r1
-        dh, grads[f"enc{i}.c1.w"], grads[f"enc{i}.c1.b"] = _conv2d_bwd(dh, c1)
+        dh, _ = _block_bwd(f"enc{i}", _pool2_bwd(dh) + dskips[i], cache, grads)
 
     return grads
 
@@ -523,9 +514,8 @@ class UNetScorePrior(ScorePrior):
                 # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
                 # Python floats, since an np.float64 scalar promotes float32 to float64
                 alpha, beta = float(delta[2 * i]), float(delta[2 * i + 1])
-                h, _ = _relu(up + alpha * low_term + beta * high_term, False)
-                h, _ = _conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)
-                h, _ = _relu(h, False)
+                h, _ = _block_tail(f"dec{i}", up + alpha * low_term + beta * high_term,
+                                   self._weights)
                 up = None
 
         head, _ = _conv2d(h, P["head.w"], P["head.b"], False)

@@ -187,6 +187,14 @@ def test_gamma_clamped_to_bounds():
     assert state.gamma == pytest.approx(GAMMA_BOUNDS[0])
 
 
+@pytest.mark.parametrize("gamma", GAMMA_BOUNDS)
+def test_gamma_gradient_at_a_bound_uses_the_clamped_width(gamma):
+    """At either bound one probe is clamped; the slope-1 objective log(gamma) still reads a
+    gradient of 1, so the first moment after one step is (1 - b1) * 1 = 0.3."""
+    state = update_gamma(RegAdaptState(gamma=gamma), lambda g: float(np.log(g)), step_size=0.1)
+    assert state.m == pytest.approx(0.3, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # sliding-window stop
 # ---------------------------------------------------------------------------

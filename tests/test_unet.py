@@ -24,12 +24,12 @@ from mricalib.phantom import PhantomSpec, make_phantom
 from mricalib.tensorio import read_tensor, write_tensor
 from mricalib.unet import (
     _backward,
+    _block_tail,
     _conv2d,
     _conv2d_bwd,
     _decode_level,
     _encode,
     _forward,
-    _relu,
     _skip_terms,
     _up_term,
 )
@@ -276,9 +276,8 @@ def _f64_walk(x, t, delta, weights):
             h = _decode_level(i, h, skips[i], weights)
         else:
             low_term, high_term = _skip_terms(i, skips[i], weights)
-            h = _relu(_up_term(i, h, weights) + delta[2 * i] * low_term
-                      + delta[2 * i + 1] * high_term, False)[0]
-            h = _relu(_conv2d(h, P[f"dec{i}.c2.w"], P[f"dec{i}.c2.b"], False)[0], False)[0]
+            h = _block_tail(f"dec{i}", _up_term(i, h, weights) + delta[2 * i] * low_term
+                            + delta[2 * i + 1] * high_term, weights)[0]
     head = _conv2d(h, P["head.w"], P["head.b"], False)[0]
     return head[0, 0] + 1j * head[0, 1]
 
@@ -386,7 +385,7 @@ def test_hand_gradients_match_finite_differences():
     grads = _backward(out - target, cache, w)
 
     h = 1e-6
-    for name in ("enc0.c1.w", "enc1.c2.b", "bot.c1.w", "dec1.c1.w", "dec0.c2.w", "head.w", "emb"):
+    for name in TINY.param_shapes():
         p = w.params[name]
         for _ in range(3):
             idx = tuple(rng.integers(0, s) for s in p.shape)
