@@ -7,15 +7,14 @@ reconstruction (denoise + data-fidelity solve from the reconstruction set
 only, starting from an iterate that has itself only seen the
 reconstruction set) by its residual on the held-out set relative to the
 held-out energy (the SSDU split of Yaman et al., MRM 2020).  This module
-only scores: `pipeline.reconstruct` issues every denoise and solve of a
-step, the calibration probes' one-step reconstructions included.  Being
-relative, the held-out term stays O(1) at every noise level, so the
-quadratic pull toward the all-ones vector keeps the calibrated network
-anchored to the pretrained one throughout the ladder.
+only scores and steps: `pipeline.reconstruct` issues every denoise and
+solve of a step, the calibration's one-step reconstruction and its adjoint
+solve included.  Being relative, the held-out term stays O(1) at every
+noise level, so the quadratic pull toward the all-ones vector keeps the
+calibrated network anchored to the pretrained one throughout the ladder.
 
-The calibration vector is tiny (two scalars per skip layer), so it is
-optimized derivative-free: central differences per coordinate, followed
-by an adaptive-moment step, always clamped to [0, 2].
+The objective's exact gradient feeds one adaptive-moment step per
+reverse step, always clamped to [0, 2].
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .forward import ForwardOperator, SamplingMask, apply_forward
+from .forward import ForwardOperator, SamplingMask, apply_adjoint, apply_forward
 from .priors import clamp_delta
 from .regularization import moment_step
-
-DELTA_FD_STEP = 0.01  # central-difference probe size per calibration coordinate
 
 
 @dataclass
@@ -74,9 +71,12 @@ def partition_mask(mask: SamplingMask, holdout_fraction: float, seed: int = 0) -
     return MaskPartition(lambda_bits, gamma_bits)
 
 
-def ssl_loss(x_hat: np.ndarray, y_gamma: np.ndarray, op_gamma: ForwardOperator) -> float:
+def ssl_loss(x_hat: np.ndarray, y_gamma: np.ndarray,
+             op_gamma: ForwardOperator) -> tuple[float, np.ndarray]:
     """Relative held-out k-space residual || y_held - A_held x_hat ||^2 / || y_held ||^2.
 
+    Returns the value and its gradient with respect to x_hat in the real
+    inner product Re<., .>, -2 A_heldᴴ (y_held - A_held x_hat) / || y_held ||^2.
     x_hat is the one-step reconstruction the caller built from the
     reconstruction set alone, so the held-out residual probes how well the
     calibrated prior generalizes.  A held-out set without energy leaves
@@ -89,7 +89,7 @@ def ssl_loss(x_hat: np.ndarray, y_gamma: np.ndarray, op_gamma: ForwardOperator) 
     val = float(np.real(np.vdot(resid, resid))) / held_energy
     if not np.isfinite(val):
         raise NumericError("self-supervised loss evaluated to a non-finite value")
-    return val
+    return val, (-2.0 / held_energy) * apply_adjoint(resid, op_gamma)
 
 
 def delta_penalty(delta: np.ndarray) -> float:
@@ -116,26 +116,10 @@ class DeltaOptState:
 
 def update_delta(
     state: DeltaOptState,
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
     step_size: float,
 ) -> DeltaOptState:
-    """One derivative-free optimization step; mutates and returns the state.
-
-    Central differences per coordinate, with perturbations kept inside
-    [0, 2] and divided by their clamped width, feed one adaptive-moment step.
-    """
-    delta = state.delta
-    if delta.size == 0:
-        state.iteration += 1
-        return state
-    grad = np.zeros(delta.size)
-    evals: list[float] = []
-    for j in range(delta.size):
-        dp, dm = delta.copy(), delta.copy()
-        dp[j] = min(delta[j] + DELTA_FD_STEP, 2.0)
-        dm[j] = max(delta[j] - DELTA_FD_STEP, 0.0)
-        fp, fm = objective(dp), objective(dm)
-        evals += [fp, fm]
-        grad[j] = (fp - fm) / (dp[j] - dm[j])
-    state.delta = clamp_delta(delta - moment_step(state, evals, grad, step_size, b1=0.9))
+    """One adaptive-moment step from the objective's (value, gradient); mutates and returns it."""
+    value, grad = objective(state.delta)
+    state.delta = clamp_delta(state.delta - moment_step(state, [value], grad, step_size, b1=0.9))
     return state

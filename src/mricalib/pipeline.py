@@ -2,7 +2,7 @@
 
 Each reverse step runs, in order:
 
-1. the calibration update (when enabled), whose probes start from the
+1. the calibration update (when enabled): one exact-gradient step from the
    reconstruction-set-only iterate described below;
 2. that iterate's own step (when calibration is enabled): the denoise
    step with the updated calibration vector and a data-fidelity solve
@@ -14,13 +14,13 @@ Each reverse step runs, in order:
 5. the transition of both iterates to the next noise level, with the
    same renoise seed.
 
-`reconstruct` issues every denoise and data-fidelity solve of a step:
-the calibration probes' one-step reconstructions (which `ssl_loss` only
-scores), the reconstruction-set step, the main step and the risk probes.
-Steps 2 to 4 denoise at one (sigma, delta), so a step denoises each of
-their inputs once and the solves share the result; the calibration probes
-vary delta and denoise on their own.  Each solve reads a measurement set
-through Aᴴy, computed once before the loop.
+`reconstruct` issues every denoise and data-fidelity solve of a step: the
+calibration's one-step reconstruction x_hat = M⁻¹(gamma Aᴴy + denoise) on
+the reconstruction set, M = gamma AᴴA + I, which `ssl_loss` scores, and its
+adjoint solve M⁻¹(tau g), the reconstruction-set step, the main step and
+the risk probes.  Steps 2 to 4 denoise at one (sigma, delta), so a step
+denoises each of their inputs once and the solves share the result.  Each
+solve reads a measurement set through Aᴴy, computed once before the loop.
 
 The reconstruction-set-only iterate keeps the held-out k-space out of
 the calibration input, at one extra prior evaluation and CG solve a
@@ -116,9 +116,9 @@ class StepRecord:
     sigma: float
     delta: np.ndarray
     gamma: float
-    # mean objective over the step's probes, not a plain held-out error or risk:
-    loss_ssl: float | None  # tau * held-out error + delta penalty, two probes per delta entry
-    loss_reg: float | None  # risk estimate at the two gamma probes
+    # walk objectives, not a plain held-out error or risk:
+    loss_ssl: float | None  # tau * held-out error + delta penalty at the step's incoming delta
+    loss_reg: float | None  # mean risk estimate at the two gamma probes
     conv_metric: float | None
     cg_residual: float
     cg_iters: int
@@ -193,7 +193,10 @@ def reconstruct(
             def objective(d):
                 x_hat = solve_p3(tweedie_denoise(x_lambda, sigma, prior, d), x_zf_l, op_l, gamma,
                                  cfg.cg).x
-                return cfg.tau_ssl * ssl_loss(x_hat, y_g, op_g) + delta_penalty(d)
+                loss, g = ssl_loss(x_hat, y_g, op_g)
+                q = solve_p3(cfg.tau_ssl * g, np.zeros_like(g), op_l, gamma, cfg.cg).x
+                return (cfg.tau_ssl * loss + delta_penalty(d),
+                        sigma**2 * prior.delta_vjp(x_lambda, sigma, d, q) + (d - 1))
 
             delta_state = update_delta(delta_state, objective, cfg.delta_step)
             loss_ssl = delta_state.loss_history[-1]

@@ -22,11 +22,15 @@ from .fourier import fft2c, ifft2c
 
 
 class ScorePrior:
-    """Interface: evaluate(x, sigma, delta) -> array of x's shape."""
+    """Interface: evaluate(x, sigma, delta) -> array of x's shape; with layer_count > 0 also
+    delta_vjp(x, sigma, delta, v) -> Re<v, d evaluate(x, sigma, delta) / d delta_j> over j."""
 
     layer_count: int = 0
 
     def evaluate(self, x: np.ndarray, sigma: float, delta: np.ndarray | None = None) -> np.ndarray:
+        raise NotImplementedError
+
+    def delta_vjp(self, x, sigma, delta, v) -> np.ndarray:
         raise NotImplementedError
 
 

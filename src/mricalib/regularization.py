@@ -99,13 +99,13 @@ class RegAdaptState:
 def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
     """Adaptive-moment step shared by both walks; returns the step to subtract.
 
-    Checks that the probe values, the squared gradient and the step are
-    finite, then records the mean probe value in state.loss_history and
+    Checks that the objective values, the squared gradient and the step
+    are finite, then records the mean value in state.loss_history and
     advances state.m, state.v and state.iteration; a failed check leaves
     the state as it was.
     """
     if not np.all(np.isfinite(evals)):
-        raise NumericError("objective returned non-finite values during perturbation")
+        raise NumericError("objective returned non-finite values")
     b2, eps = 0.999, 1e-8
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         grad_sq = np.square(grad)

@@ -12,27 +12,26 @@ conv-ReLU-conv-ReLU (`_block`, `_block_bwd`); the bottleneck adds its
 noise-level embedding after the first conv, and a head conv ends the net.
 
 A calibration vector other than all ones splits each decoder level's first
-conv by linearity into an up term and two skip-band terms, which the score
-adapter reuses across calibration probes; their sum rounds differently
-from the conv of the joined channels, within 1e-13 relative in float64.
-The all-ones vector is the identity and runs the uncalibrated network
-itself, bit for bit.  Each conv is one GEMM per sample whose tap outputs
-are added shifted, bit-identical to one GEMM per tap.
+conv by linearity: it convolves the up channels only and adds two skip-band
+terms, as the bottleneck adds its embedding; this rounds differently from
+the conv of the joined channels, within 1e-13 relative in float64.  The
+all-ones vector is the identity and runs the uncalibrated network itself,
+bit for bit.  Each conv is one GEMM per sample whose tap outputs are added
+shifted, bit-identical to one GEMM per tap.
 
 Everything is plain numpy.  Inference (`UNetScorePrior`, `unet_forward`)
 runs in float32 on weights cast once, within 1e-5 relative of the float64
 walk; training, `dsm_loss` and the weight files stay float64.  The layer
 primitives compute in the dtype of their input.  Training is denoising
-score matching with hand-derived convolution gradients and plain SGD — the
-adaptation machinery never differentiates through the network, so no
-autodiff dependency is needed.
+score matching with hand-derived convolution gradients and plain SGD; the
+calibration gradient (`UNetScorePrior.delta_vjp`) reuses their input halves.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -155,40 +154,45 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, want_cache: bool
                 y[n] += taps[i, j, :, i : i + H, j : j + W]
     if b is not None:
         y += b[None, :, None, None]
-    cache = (xp, x.shape, w) if want_cache else None
+    cache = (xp, w) if want_cache else None
     return y, cache
 
 
-def _conv2d_bwd(dy: np.ndarray, cache):
-    """Input, kernel and bias gradients of `_conv2d`.
+def _conv2d_bwd_input(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of `_conv2d` with kernel w, from the output gradient dy.
 
-    The input gradient runs one GEMM per sample and kernel row, (k·Cin, Cout)
-    by the sample's output gradient, and adds the tap results, shifted, into
-    the padded grid in row-major tap order: the same sums in the same order
-    as one GEMM per tap.  A GEMM per kernel row keeps the tap buffer at
-    k·Cin·H·W; one per sample would hold k²·Cin·H·W, 7 MB at the widest
-    decoder conv of a 64² training batch, which raised training's peak
-    memory by 10 %.
+    One GEMM per sample and kernel row, (k·Cin, Cout) by the sample's
+    output gradient, adds the tap results, shifted, into the padded grid
+    in row-major tap order: the same sums in the same order as one GEMM
+    per tap.  A GEMM per kernel row keeps the tap buffer at k·Cin·H·W; one
+    per sample would hold k²·Cin·H·W, 7 MB at the widest decoder conv of a
+    64² training batch, which raised training's peak memory by 10 %.
     """
-    xp, x_shape, w = cache
-    B, Cin, H, W = x_shape
-    Cout, _, k, _ = w.shape
+    B, Cout, H, W = dy.shape
+    _, Cin, k, _ = w.shape
     p = k // 2
-    dw = np.empty_like(w)
-    for i in range(k):
-        for j in range(k):
-            patch = xp[:, :, i : i + H, j : j + W]
-            dw[:, :, i, j] = np.tensordot(dy, patch, axes=([0, 2, 3], [0, 2, 3]))
     row_wt = w.transpose(2, 3, 1, 0).reshape(k, k * Cin, Cout)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros((B, Cin, H + 2 * p, W + 2 * p), dtype=dy.dtype)
     for n in range(B):
         dy_n = dy[n].reshape(Cout, H * W)
         for i in range(k):
             taps = (row_wt[i] @ dy_n).reshape(k, Cin, H, W)
             for j in range(k):
                 dxp[n, :, i : i + H, j : j + W] += taps[j]
-    db = dy.sum(axis=(0, 2, 3))
-    return dxp[:, :, p : p + H, p : p + W], dw, db
+    return dxp[:, :, p : p + H, p : p + W]
+
+
+def _conv2d_bwd_weights(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel and bias gradients of `_conv2d`, from its cache."""
+    xp, w = cache
+    H, W = dy.shape[2:]
+    k = w.shape[2]
+    dw = np.empty_like(w)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i : i + H, j : j + W]
+            dw[:, :, i, j] = np.tensordot(dy, patch, axes=([0, 2, 3], [0, 2, 3]))
+    return dw, dy.sum(axis=(0, 2, 3))
 
 
 def _relu(x, want_cache):
@@ -246,35 +250,34 @@ def _check_input(shape: tuple[int, ...], t_idx: np.ndarray, arch: UNetArch) -> N
 
 
 def _block(name: str, h: np.ndarray, weights: UNetWeights, cache: dict | None = None,
-           emb: np.ndarray | None = None) -> np.ndarray:
-    """Conv c1, plus `emb` if given, then `_block_tail`; a cache keeps (c1, r1, c2, r2)."""
+           add: np.ndarray | None = None, w1: np.ndarray | None = None) -> np.ndarray:
+    """Conv c1 (kernel `w1` if given), plus `add` if given, ReLU, conv c2, ReLU.
+
+    A cache keeps (c1, r1, c2, r2) for `_block_bwd`.
+    """
     P = weights.params
     want_cache = cache is not None
-    h, c1 = _conv2d(h, P[f"{name}.c1.w"], P[f"{name}.c1.b"], want_cache)
-    if emb is not None:
-        h = h + emb
-    h, tail = _block_tail(name, h, weights, want_cache)
-    if want_cache:
-        cache[name] = (c1, *tail)
-    return h
-
-
-def _block_tail(name: str, h: np.ndarray, weights: UNetWeights, want_cache: bool = False):
-    """A block from its first conv's output on: ReLU, conv c2, ReLU.  Returns (h, (r1, c2, r2))."""
-    P = weights.params
+    h, c1 = _conv2d(h, P[f"{name}.c1.w"] if w1 is None else w1, P[f"{name}.c1.b"], want_cache)
+    if add is not None:
+        h = h + add
     h, r1 = _relu(h, want_cache)
     h, c2 = _conv2d(h, P[f"{name}.c2.w"], P[f"{name}.c2.b"], want_cache)
     h, r2 = _relu(h, want_cache)
-    return h, (r1, c2, r2)
+    if want_cache:
+        cache[name] = (c1, r1, c2, r2)
+    return h
 
 
-def _block_bwd(name: str, dh: np.ndarray, cache: dict, grads: dict[str, np.ndarray]):
-    """Backward of `_block` into `grads`; returns the gradients at its input and at c1's output."""
+def _block_bwd(name: str, dh: np.ndarray, cache: dict, grads: dict | None = None):
+    """Backward of `_block`, weight gradients into `grads` if given; returns the gradients at
+    its input and at c1's output."""
     c1, r1, c2, r2 = cache[name]
-    dh, grads[f"{name}.c2.w"], grads[f"{name}.c2.b"] = _conv2d_bwd(dh * r2, c2)
-    d_c1 = dh * r1
-    dh, grads[f"{name}.c1.w"], grads[f"{name}.c1.b"] = _conv2d_bwd(d_c1, c1)
-    return dh, d_c1
+    d_c2 = dh * r2
+    d_c1 = _conv2d_bwd_input(d_c2, c2[1]) * r1
+    if grads is not None:
+        grads[f"{name}.c2.w"], grads[f"{name}.c2.b"] = _conv2d_bwd_weights(d_c2, c2)
+        grads[f"{name}.c1.w"], grads[f"{name}.c1.b"] = _conv2d_bwd_weights(d_c1, c1)
+    return _conv2d_bwd_input(d_c1, c1[1]), d_c1
 
 
 def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict | None = None):
@@ -304,16 +307,20 @@ def _decode_level(i: int, h: np.ndarray, skip: np.ndarray, weights: UNetWeights,
 
 # A calibrated decoder level splits its first conv by linearity over the
 # joined channels [up, alpha*LOW + beta*HIGH]:
-#   conv(...) + b = (conv_up(up) + b) + alpha*conv_skip(LOW) + beta*conv_skip(HIGH)
-# with conv_up, conv_skip the kernel slices over the up and skip channels.
-# The up term depends on the deeper calibration entries only and the skip
-# terms on none, so a probe that moves (alpha_l, beta_l) can reuse both.
+#   conv(...) + b = (conv_up(up) + b) + (alpha*conv_skip(LOW) + beta*conv_skip(HIGH))
+# with conv_up, conv_skip the kernel slices over the up and skip channels: a
+# block whose first conv sees the up channels only and adds the skip terms,
+# which depend on no calibration entry.
 
 
-def _up_term(i: int, h: np.ndarray, weights: UNetWeights) -> np.ndarray:
-    """conv_up(up2(h)) + b of decoder level i."""
-    P = weights.params
-    return _conv2d(_up2(h), P[f"dec{i}.c1.w"][:, : h.shape[1]], P[f"dec{i}.c1.b"], False)[0]
+def _split_level(i: int, h: np.ndarray, terms: tuple, delta, weights: UNetWeights,
+                 cache: dict | None = None) -> np.ndarray:
+    """Calibrated decoder level i in split form, from h and the level's `_skip_terms`."""
+    w_up = weights.params[f"dec{i}.c1.w"][:, : h.shape[1]]
+    # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
+    # Python floats, since an np.float64 scalar promotes float32 to float64
+    bands = float(delta[2 * i]) * terms[0] + float(delta[2 * i + 1]) * terms[1]
+    return _block(f"dec{i}", _up2(h), weights, cache, bands, w_up)
 
 
 def _skip_terms(i: int, skip: np.ndarray, weights: UNetWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +360,8 @@ def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.nda
     L = arch.layer_count
     grads = {name: np.zeros_like(p) for name, p in weights.params.items()}
 
-    dh, grads["head.w"], grads["head.b"] = _conv2d_bwd(dout, cache["head"])
+    dh = _conv2d_bwd_input(dout, weights.params["head.w"])
+    grads["head.w"], grads["head.b"] = _conv2d_bwd_weights(dout, cache["head"])
 
     dskips: list[np.ndarray | None] = [None] * L
     for i in range(L):
@@ -388,13 +396,12 @@ def unet_forward(
 
 @dataclass
 class _EncoderState:
-    """What one input shares across calibration vectors: encoder outputs and split-conv terms."""
+    """What one input shares across calibration vectors: encoder outputs and skip terms."""
 
     key: tuple  # (input shape, input bytes, noise index)
     h: np.ndarray  # bottleneck output
     skips: list[np.ndarray]
-    skip_terms: list[tuple | None]  # each level's _skip_terms, made on first calibrated use
-    ups: dict[int, tuple] = field(default_factory=dict)  # level i -> (delta[2(i+1):] key, _up_term)
+    skip_terms: list[tuple] | None = None  # each level's _skip_terms, made on first split use
 
 
 class UNetScorePrior(ScorePrior):
@@ -404,22 +411,14 @@ class UNetScorePrior(ScorePrior):
     network was trained on.  With `calibratable=False` the prior reports
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
-    Evaluations reuse earlier work whose inputs are bit for bit the same;
-    `unet_forward` runs the same walk on a fresh prior, so every output
-    equals a fresh `unet_forward` to the last bit:
-
-    - the encoder and bottleneck outputs of the most recent (input bytes,
-      noise index); the calibration probes around one iterate then share
-      one encoder pass;
-    - for that input, the two skip terms of each calibrated decoder
-      level's split first conv, conv_skip(LOW) and conv_skip(HIGH);
-    - for that input, each level's up term conv_up(up) + b, keyed on the
-      calibration entries of the deeper levels (delta[2(i+1):]); a probe
-      that moves (alpha_l, beta_l) costs two scaled adds at level l, then
-      the rest of level l and the full levels below it.
-
-    The prior keeps no outputs: `pipeline.reconstruct` denoises each input
-    once per step and shares the result.
+    Evaluations and `delta_vjp` reuse, for the most recent (input bytes,
+    noise index), the encoder and bottleneck outputs and each decoder
+    level's split skip terms conv_skip(LOW) and conv_skip(HIGH), so a
+    step's calibration evaluation, its gradient and the denoise of the same
+    iterate share one encoder pass.  Reuse is bit for bit: every output
+    equals a fresh `unet_forward`, which runs the same walk on a fresh
+    prior.  The prior keeps no outputs: `pipeline.reconstruct` denoises
+    each input once per step and shares the result.
 
     A calibrated level sums the split terms where the uncalibrated network
     convolves the joined channels, so a calibrated output differs from the
@@ -434,7 +433,7 @@ class UNetScorePrior(ScorePrior):
     caller's `weights.params` do not reach the prior, so build a new one.
 
     The memory this holds is bounded by one set of encoder activations and
-    three first-conv outputs per level.
+    two first-conv outputs per level.
     """
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
@@ -465,59 +464,69 @@ class UNetScorePrior(ScorePrior):
         eps_hat = self._predict_noise(x, idx, delta)
         return -eps_hat / sigma
 
+    def delta_vjp(self, x, sigma, delta, v):
+        """Re<v, d evaluate(x, sigma, delta) / d delta_j> for each calibration entry j.
+
+        Backpropagates through the split decoder (all ones included) to each
+        level's first-conv output d_l: d alpha_l = <d_l, conv_skip(LOW_l)>, d beta_l
+        = <d_l, conv_skip(HIGH_l)>.  Follows `evaluate`'s sigma contract.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        if not np.isfinite(sigma):
+            raise InvalidArgumentError(f"sigma must be finite, got {sigma}")
+        if sigma <= 0:
+            return np.zeros(2 * self.layer_count)
+        W, L = self._weights, self.layer_count
+        delta = validate_delta(delta, L)
+        idx = int(np.argmin(np.abs(self._sigmas - sigma)))
+        enc = self._encoder_state(x, idx, split=True)
+        h, cache = enc.h, {}
+        for i in reversed(range(L)):
+            h = _split_level(i, h, enc.skip_terms[i], delta, W, cache)
+        v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
+        dh = _conv2d_bwd_input(v2, W.params["head.w"])
+        grad = np.empty(2 * L)
+        for i in range(L):
+            dh, d_c1 = _block_bwd(f"dec{i}", dh, cache)
+            for j, term in enumerate(enc.skip_terms[i]):
+                grad[2 * i + j] = np.sum(d_c1 * term, dtype=np.float64)
+            dh = _up2_bwd(dh)
+        return -grad / sigma
+
+    def _encoder_state(self, x: np.ndarray, idx: int, split: bool) -> _EncoderState:
+        """The encoder state of an (H, W) image at ladder index idx; `split` adds skip terms."""
+        if x.ndim != 2:
+            raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
+        in_key = (x.shape, x.tobytes(), idx)
+        if self._encoded is None or self._encoded.key != in_key:
+            x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
+            t_idx = np.array([idx], dtype=np.int64)
+            _check_input(x2.shape, t_idx, self._weights.arch)
+            self._encoded = _EncoderState(in_key, *_encode(x2, t_idx, self._weights))
+        enc = self._encoded
+        if split and enc.skip_terms is None:
+            enc.skip_terms = [_skip_terms(i, s, self._weights) for i, s in enumerate(enc.skips)]
+        return enc
+
     def _predict_noise(self, x: np.ndarray, idx: int, delta) -> np.ndarray:
         """The network's complex output for one (H, W) image at ladder index idx.
 
         Reuses what earlier calls computed; a vector of all ones runs as None.
         """
-        arch = self._weights.arch
-        L = arch.layer_count
-        if x.ndim != 2:
-            raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
+        W = self._weights
+        L = W.arch.layer_count
         if delta is not None:
             delta = validate_delta(delta, L)
             if np.all(delta == 1.0):
                 delta = None
-        in_key = (x.shape, x.tobytes(), idx)
-        enc = self._encoded
-        if enc is None or enc.key != in_key:
-            x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
-            t_idx = np.array([idx], dtype=np.int64)
-            _check_input(x2.shape, t_idx, arch)
-            h, skips = _encode(x2, t_idx, self._weights)
-            enc = self._encoded = _EncoderState(in_key, h, skips, [None] * L)
-
-        P = self._weights.params
+        enc = self._encoder_state(x, idx, split=delta is not None)
         h = enc.h
-        if delta is None:
-            for i in reversed(range(L)):
-                h = _decode_level(i, h, enc.skips[i], self._weights)
-        else:
-            def up_key(i):
-                return delta[2 * (i + 1) :].tobytes()
-
-            # start at the shallowest level whose up term is still valid;
-            # the deeper levels only fed that term
-            start, up = L - 1, None
-            for i in range(L):
-                held = enc.ups.get(i)
-                if held is not None and held[0] == up_key(i):
-                    start, up = i, held[1]
-                    break
-            for i in reversed(range(start + 1)):
-                if up is None:
-                    up = _up_term(i, h, self._weights)
-                    enc.ups[i] = (up_key(i), up)
-                if enc.skip_terms[i] is None:
-                    enc.skip_terms[i] = _skip_terms(i, enc.skips[i], self._weights)
-                low_term, high_term = enc.skip_terms[i]
-                # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
-                # Python floats, since an np.float64 scalar promotes float32 to float64
-                alpha, beta = float(delta[2 * i]), float(delta[2 * i + 1])
-                h, _ = _block_tail(f"dec{i}", up + alpha * low_term + beta * high_term,
-                                   self._weights)
-                up = None
-
+        for i in reversed(range(L)):
+            if delta is None:
+                h = _decode_level(i, h, enc.skips[i], W)
+            else:
+                h = _split_level(i, h, enc.skip_terms[i], delta, W)
+        P = W.params
         head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
         return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
 

@@ -281,7 +281,8 @@ def test_criterion_8_directional_ablation():
         8,
         f"PSNR: off {both_off:.2f} | cal-only {fpc_only:.2f} | weight-only {rpa_only:.2f} "
         f"| full {both_on:.2f} (+{both_on - both_off:.2f} dB); full over weight-only "
-        f"{gain:+.3f} dB, {wins}/{len(cases)} wins ({elapsed:.0f}s)",
+        f"{gain:+.3f} dB, {wins}/{len(cases)} wins ({elapsed:.0f}s); row means "
+        f"{both_off!r} / {fpc_only!r} / {rpa_only!r} / {both_on!r}",
     )
 
 

@@ -102,7 +102,7 @@ def test_ssl_loss_zero_when_heldout_matches():
     # evaluate the one-step map, then hand it measurements that match exactly
     x_hat = _one_step(phantom, 0.05, prior, None, x_adj_l, op_l, 2.0)
     y_match = apply_forward(x_hat, op_g)
-    assert ssl_loss(x_hat, y_match, op_g) <= 1e-18
+    assert ssl_loss(x_hat, y_match, op_g)[0] <= 1e-18
 
 
 def test_ssl_loss_relative_to_heldout_energy():
@@ -110,9 +110,23 @@ def test_ssl_loss_relative_to_heldout_energy():
     prior = white_prior(32, 32)
     x_hat = _one_step(phantom, 0.1, prior, None, x_adj_l, op_l, 1.0)
     resid = y_g - apply_forward(x_hat, op_g)
-    loss = ssl_loss(x_hat, y_g, op_g)
+    loss, _ = ssl_loss(x_hat, y_g, op_g)
     expected = np.vdot(resid, resid).real / np.vdot(y_g, y_g).real
     assert abs(loss - expected) <= 1e-12 * expected
+
+
+def test_ssl_loss_gradient_matches_finite_differences():
+    """The returned gradient g satisfies d loss = Re<g, d x_hat> along random directions."""
+    rng = np.random.default_rng(5)
+    phantom, op_l, op_g, x_adj_l, y_g = _ssl_setup(seed=5)
+    x_hat = _one_step(phantom, 0.1, white_prior(32, 32), None, x_adj_l, op_l, 1.0)
+    _, grad = ssl_loss(x_hat, y_g, op_g)
+    h = 1e-6
+    for _ in range(3):
+        direction = rng.standard_normal(x_hat.shape) + 1j * rng.standard_normal(x_hat.shape)
+        fd = (ssl_loss(x_hat + h * direction, y_g, op_g)[0]
+              - ssl_loss(x_hat - h * direction, y_g, op_g)[0]) / (2 * h)
+        assert abs(fd - np.real(np.vdot(grad, direction))) <= 1e-6 * abs(fd)
 
 
 def test_ssl_loss_rejects_heldout_without_energy():
@@ -131,10 +145,10 @@ def test_ssl_loss_identity_delta_matches_uncalibrated_network():
     calibrated = UNetScorePrior(weights, calibratable=True)
     uncalibrated = UNetScorePrior(weights, calibratable=False)
     sigma = 0.3
-    l_cal = ssl_loss(_one_step(phantom, sigma, calibrated, np.ones(4), x_adj_l, op_l, 1.5),
-                     y_g, op_g)
-    l_raw = ssl_loss(_one_step(phantom, sigma, uncalibrated, None, x_adj_l, op_l, 1.5),
-                     y_g, op_g)
+    l_cal, _ = ssl_loss(_one_step(phantom, sigma, calibrated, np.ones(4), x_adj_l, op_l, 1.5),
+                        y_g, op_g)
+    l_raw, _ = ssl_loss(_one_step(phantom, sigma, uncalibrated, None, x_adj_l, op_l, 1.5),
+                        y_g, op_g)
     assert abs(l_cal - l_raw) <= 1e-9 * max(l_raw, 1.0)
 
 
@@ -171,13 +185,17 @@ def test_penalty_gradient_matches_analytic():
 
 
 # ---------------------------------------------------------------------------
-# derivative-free optimizer
+# calibration step
 # ---------------------------------------------------------------------------
+
+
+def _penalty_objective(d):
+    return delta_penalty(d), d - 1.0
 
 
 def test_stationary_point_is_fixed():
     state = DeltaOptState(delta=np.ones(4))
-    state = update_delta(state, delta_penalty, step_size=0.05)
+    state = update_delta(state, _penalty_objective, step_size=0.05)
     assert np.array_equal(state.delta, np.ones(4))
 
 
@@ -185,18 +203,18 @@ def test_clamp_invariant_after_updates():
     rng = np.random.default_rng(2)
     state = DeltaOptState(delta=rng.uniform(0, 2, size=6))
     for _ in range(20):  # push upward
-        state = update_delta(state, lambda d: -np.sum(d), step_size=0.8)
+        state = update_delta(state, lambda d: (-np.sum(d), -np.ones_like(d)), step_size=0.8)
         assert np.all(state.delta >= 0) and np.all(state.delta <= 2)
     assert np.allclose(state.delta, 2.0)
 
 
 def test_monotone_descent_after_warmup():
     state = DeltaOptState(delta=np.full(4, 0.2))
-    objective = lambda d: float(np.sum((d - 1.8) ** 2))
+    objective = lambda d: (float(np.sum((d - 1.8) ** 2)), 2.0 * (d - 1.8))
     values = []
     for _ in range(50):
         state = update_delta(state, objective, step_size=0.01)
-        values.append(objective(state.delta))
+        values.append(objective(state.delta)[0])
     diffs = np.diff(values[5:])
     assert np.all(diffs <= 1e-12)
 
@@ -205,13 +223,20 @@ def test_penalty_pulls_delta_to_identity():
     rng = np.random.default_rng(3)
     state = DeltaOptState(delta=rng.uniform(0, 2, size=6))
     frozen_ssl = 3.7  # constant, as with a calibration-blind prior
-    objective = lambda d: frozen_ssl + delta_penalty(d)
+    objective = lambda d: (frozen_ssl + delta_penalty(d), d - 1.0)
     for _ in range(100):
         state = update_delta(state, objective, step_size=0.05)
     assert np.linalg.norm(state.delta - 1.0) <= 0.05
 
 
+def test_step_records_the_objective_at_the_incoming_vector():
+    state = DeltaOptState(delta=np.array([0.5, 1.5]))
+    update_delta(state, _penalty_objective, step_size=0.05)
+    assert state.loss_history == [0.25]
+    assert np.allclose(state.delta, [0.55, 1.45])  # the first step has size step_size
+
+
 def test_nonfinite_objective_rejected():
     state = DeltaOptState(delta=np.ones(2))
     with pytest.raises(NumericError):
-        update_delta(state, lambda d: float("nan"), step_size=0.05)
+        update_delta(state, lambda d: (float("nan"), np.zeros(2)), step_size=0.05)

@@ -26,8 +26,9 @@ from mricalib import (
     trace_columns,
     white_prior,
 )
-from mricalib import calibration, forward, pipeline
+from mricalib import pipeline, unet
 from mricalib.errors import InvalidArgumentError, NumericError
+from mricalib.fourier import fft2c, ifft2c
 from mricalib.unet import UNetArch, UNetScorePrior, init_weights, unet_forward
 
 
@@ -189,6 +190,9 @@ class _CalibrationBlindPrior(ScorePrior):
     def evaluate(self, x, sigma, delta=None):
         return -x / (1.0 + sigma**2)
 
+    def delta_vjp(self, x, sigma, delta, v):
+        return np.zeros(2)
+
 
 def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
     phantom, op, y = _problem(seed=17)
@@ -198,25 +202,31 @@ def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
     real_ssl_loss = pipeline.ssl_loss
 
     def inputs_seen(y_run):
-        seen = []
+        scored, differentiated = [], []
+        prior = _CalibrationBlindPrior()
 
         def spy(x_hat, *args):
-            seen.append(np.array(x_hat, copy=True))
+            scored.append(np.array(x_hat, copy=True))
             return real_ssl_loss(x_hat, *args)
 
-        monkeypatch.setattr(pipeline, "ssl_loss", spy)
-        reconstruct(y_run, op, _CalibrationBlindPrior(), cfg)
-        return seen
+        def vjp_spy(x, *args):
+            differentiated.append(np.array(x, copy=True))
+            return _CalibrationBlindPrior.delta_vjp(prior, x, *args)
 
-    first, second = inputs_seen(y), inputs_seen(y_other)
-    assert len(first) == len(second) == 2 * 2 * cfg.steps  # central differences, 2 entries
-    for a, b in zip(first, second):
-        assert np.array_equal(a, b)
+        monkeypatch.setattr(pipeline, "ssl_loss", spy)
+        prior.delta_vjp = vjp_spy
+        reconstruct(y_run, op, prior, cfg)
+        return scored, differentiated
+
+    for first, second in zip(inputs_seen(y), inputs_seen(y_other)):
+        assert len(first) == len(second) == cfg.steps  # one objective and gradient a step
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
 
 def test_tau_ssl_scales_only_the_held_out_term():
-    # the prior ignores delta, so delta stays at ones and every run walks the same x_lambda:
-    # loss_ssl(tau) = tau * E_t + P_t, with P_t the mean penalty of the +-DELTA_FD_STEP probes
+    # the prior ignores delta, so delta stays at ones, every run walks the same x_lambda and
+    # the penalty is 0: loss_ssl(tau) = tau * E_t
     phantom, op, y = _problem(seed=20)
     losses = []
     for tau in (1.0, 2.0, 3.0):
@@ -226,8 +236,52 @@ def test_tau_ssl_scales_only_the_held_out_term():
     first, second = losses[1] - losses[0], losses[2] - losses[1]
     assert np.all(first > 0)
     assert np.all(np.abs(second - first) <= 1e-9 * first)
-    penalty = 0.5 * calibration.DELTA_FD_STEP**2
-    assert np.all(np.abs(losses[0] - first - penalty) <= 1e-9 * losses[0])
+    assert np.all(np.abs(losses[0] - first) <= 1e-9 * losses[0])
+
+
+class _TwoBandPrior(ScorePrior):
+    """Analytic calibratable score -(alpha LOW(x) + beta HIGH(x)) / (1 + sigma^2), with LOW the
+    centred k-space disc of radius n/8."""
+
+    layer_count = 1
+
+    @staticmethod
+    def _bands(x):
+        n = x.shape[0]
+        f = np.arange(n) - n // 2
+        low = ifft2c(fft2c(x) * (f[:, None] ** 2 + f[None, :] ** 2 <= (n // 8) ** 2))
+        return low, x - low
+
+    def evaluate(self, x, sigma, delta=None):
+        alpha, beta = (1.0, 1.0) if delta is None else delta
+        low, high = self._bands(x)
+        return -(alpha * low + beta * high) / (1.0 + sigma**2)
+
+    def delta_vjp(self, x, sigma, delta, v):
+        return np.array([-np.real(np.vdot(v, band)) for band in self._bands(x)]) / (1.0 + sigma**2)
+
+
+def test_calibration_gradient_matches_finite_differences(monkeypatch):
+    """At every step the loop's objective returns the gradient of its own value: the adjoint
+    solve and delta_vjp against central differences, with a CG tight enough to be exact."""
+    phantom, op, y = _problem(seed=22)
+    cfg = ReconConfig(steps=6, cg=CGConfig(max_iters=200, tol=1e-13), enable_fpc=True,
+                      enable_rpa=False, gamma_init=2.5, tau_ssl=2.0)
+    real_update_delta = pipeline.update_delta
+    errors = []
+
+    def checked(state, objective, step_size):
+        _, grad = objective(state.delta)
+        h = 1e-5
+        fd = np.array([objective(state.delta + h * e)[0] - objective(state.delta - h * e)[0]
+                       for e in np.eye(state.delta.size)]) / (2 * h)
+        errors.append(np.max(np.abs(grad - fd)) / np.max(np.abs(fd)))
+        return real_update_delta(state, objective, step_size)
+
+    monkeypatch.setattr(pipeline, "update_delta", checked)
+    _, report = reconstruct(y, op, _TwoBandPrior(), cfg)
+    assert any(not np.all(rec.delta == 1.0) for rec in report.records)
+    assert len(errors) == cfg.steps and max(errors) <= 1e-6, errors
 
 
 class _FreshUNetPrior(ScorePrior):
@@ -241,6 +295,9 @@ class _FreshUNetPrior(ScorePrior):
     def evaluate(self, x, sigma, delta=None):
         idx = int(np.argmin(np.abs(self._sigmas - sigma)))
         return -unet_forward(x, idx, delta, self.weights) / sigma
+
+    def delta_vjp(self, x, sigma, delta, v):
+        return UNetScorePrior(self.weights).delta_vjp(x, sigma, delta, v)
 
 
 def test_unet_prior_reuse_is_bit_identical_end_to_end():
@@ -262,7 +319,9 @@ def test_unet_prior_reuse_is_bit_identical_end_to_end():
 
 
 class _EvaluationLog(ScorePrior):
-    """Unit white-noise score claiming two calibratable layers; logs every evaluation."""
+    """Unit white-noise score claiming two calibratable layers; logs every evaluation.
+
+    Its calibration gradient is a constant, so the calibration vector moves every step."""
 
     layer_count = 2
 
@@ -272,6 +331,9 @@ class _EvaluationLog(ScorePrior):
     def evaluate(self, x, sigma, delta=None):
         self.calls.append((sigma, x.tobytes(), None if delta is None else delta.tobytes()))
         return -x / (1.0 + sigma**2)
+
+    def delta_vjp(self, x, sigma, delta, v):
+        return np.ones(4)
 
 
 @pytest.mark.parametrize("enable_fpc", [False, True])
@@ -284,10 +346,32 @@ def test_each_step_denoises_each_input_once(enable_fpc):
     for rec in report.records:
         assert rec.loss_reg is not None  # the risk walk ran in this step
         step = [call[1:] for call in prior.calls if call[0] == rec.sigma]
-        if enable_fpc:
-            assert len(step) > 2 and len(step) == len(set(step))
-        else:
-            assert len(step) == 2  # the main iterate and the risk probe point
+        # the main iterate and the risk probe point; when calibrating also x_lambda at the
+        # incoming calibration vector (the objective) and, once it is no longer x (the first
+        # step), at the updated one (its own step)
+        expected = 2 + (enable_fpc and (1 if rec.t == cfg.steps else 2))
+        assert len(step) == len(set(step)) == expected
+
+
+def test_calibration_gradient_shares_the_encoder_pass(monkeypatch):
+    """The calibration's evaluation, its gradient and the denoise of x_lambda share one encoder
+    pass: 3 encodes a step while the risk walk runs (x_lambda, x, x + eps mu), 2 after it stops,
+    and one fewer in the first step, where x_lambda is x."""
+    phantom, op, y = _problem(seed=23)
+    weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=8)
+    cfg = ReconConfig(**FAST, tau_reg=1e6, window=2)
+    encodes = []
+    real_encode = unet._encode
+
+    def counting_encode(*args, **kwargs):
+        encodes.append(1)
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(unet, "_encode", counting_encode)
+    _, report = reconstruct(y, op, UNetScorePrior(weights), cfg)
+    active = sum(rec.loss_reg is not None for rec in report.records)
+    assert 0 < active < cfg.steps
+    assert len(encodes) == 3 * active + 2 * (cfg.steps - active) - 1
 
 
 @pytest.mark.parametrize("enable_fpc, adjoints", [(True, 2), (False, 1)])
@@ -297,13 +381,13 @@ def test_one_adjoint_image_per_measurement_set(monkeypatch, enable_fpc, adjoints
     weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=7)
     cfg = ReconConfig(**FAST, enable_fpc=enable_fpc, enable_rpa=True)
     calls = []
-    real_ifft2c = forward.ifft2c
+    real_apply_adjoint = pipeline.apply_adjoint
 
-    def counting_ifft2c(k):
+    def counting_apply_adjoint(k, op_):
         calls.append(k.shape)
-        return real_ifft2c(k)
+        return real_apply_adjoint(k, op_)
 
-    monkeypatch.setattr(forward, "ifft2c", counting_ifft2c)  # apply_adjoint's only transform
+    monkeypatch.setattr(pipeline, "apply_adjoint", counting_apply_adjoint)
     reconstruct(y, op, UNetScorePrior(weights), cfg)
     assert calls == [y.shape] * adjoints
 

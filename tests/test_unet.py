@@ -24,14 +24,14 @@ from mricalib.phantom import PhantomSpec, make_phantom
 from mricalib.tensorio import read_tensor, write_tensor
 from mricalib.unet import (
     _backward,
-    _block_tail,
     _conv2d,
-    _conv2d_bwd,
+    _conv2d_bwd_input,
+    _conv2d_bwd_weights,
     _decode_level,
     _encode,
     _forward,
     _skip_terms,
-    _up_term,
+    _split_level,
 )
 
 TINY = UNetArch(widths=(3, 4), bottleneck=5, emb_steps=6)
@@ -159,7 +159,8 @@ def _check_conv_bit_identical(batch, cin, cout, height, width, kernel):
     y, cache = _conv2d(x, w, b, True)
     assert np.array_equal(y, y_ref)
     dy = rng.standard_normal(y.shape)
-    for got, want in zip(_conv2d_bwd(dy, cache), _ref_conv2d_bwd(dy, xp, w)):
+    got = (_conv2d_bwd_input(dy, w), *_conv2d_bwd_weights(dy, cache))
+    for got, want in zip(got, _ref_conv2d_bwd(dy, xp, w)):
         assert np.array_equal(got, want)
 
 
@@ -275,9 +276,7 @@ def _f64_walk(x, t, delta, weights):
         if delta is None:
             h = _decode_level(i, h, skips[i], weights)
         else:
-            low_term, high_term = _skip_terms(i, skips[i], weights)
-            h = _block_tail(f"dec{i}", _up_term(i, h, weights) + delta[2 * i] * low_term
-                            + delta[2 * i + 1] * high_term, weights)[0]
+            h = _split_level(i, h, _skip_terms(i, skips[i], weights), delta, weights)
     head = _conv2d(h, P["head.w"], P["head.b"], False)[0]
     return head[0, 0] + 1j * head[0, 1]
 
@@ -340,7 +339,7 @@ def test_float32_prior_matches_float64_walk_on_prior_shapes(calibratable):
 
 
 def test_inference_runs_in_float32(monkeypatch):
-    """The encoder state, the memoised skip and up terms and every conv's input, kernel and
+    """The encoder state, the memoised skip terms and every conv's input, kernel and
     output are float32 on both decoder paths; evaluate returns complex128."""
     seen = set()
     conv = unet._conv2d
@@ -358,9 +357,8 @@ def test_inference_runs_in_float32(monkeypatch):
     for delta in (None, np.array([1.1, 0.9, 0.8, 1.2]), np.array([1.1, 0.9, 0.8, 1.25])):
         assert prior.evaluate(x, 0.5, delta).dtype == np.complex128
     enc = prior._encoded
-    held = [enc.h, *enc.skips, *(t for terms in enc.skip_terms for t in terms),
-            *(up for _, up in enc.ups.values())]
-    assert len(held) == 1 + 2 + 4 + 2
+    held = [enc.h, *enc.skips, *(t for terms in enc.skip_terms for t in terms)]
+    assert len(held) == 1 + 2 + 4
     assert all(a.dtype == np.float32 for a in held)
     assert seen == {(np.dtype(np.float32),) * 3}
 
@@ -396,6 +394,31 @@ def test_hand_gradients_match_finite_differences():
             p[idx] += h
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grads[name][idx]) <= 1e-5 * max(abs(fd), 1e-8), name
+
+
+@pytest.mark.parametrize("delta", [np.ones(4), np.array([1.1, 0.8, 0.9, 1.3])],
+                         ids=["identity", "perturbed"])
+def test_delta_vjp_matches_finite_differences_of_float64_walk(delta):
+    """The float32 prior's Re<v, d evaluate / d delta_j> equals central differences of the
+    float64 walk within 1e-4 of the largest entry, at a high and a low noise level."""
+    rng = np.random.default_rng(22)
+    w = init_weights(C8, seed=23)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    sigmas = C8.sigma_ladder()
+    prior = UNetScorePrior(w)
+    clean = make_phantom(PhantomSpec(size=64, seed=24, contrast_exponent=1.5, bias_amplitude=0.3))
+    h = 1e-6  # small enough that no ReLU of the walk switches inside a probe pair
+    for idx in (3, 20):
+        sigma = float(sigmas[idx])
+        x = clean + sigma * _rand_image(rng, 64)
+        v = _rand_image(rng, 64)
+
+        def value(d):
+            return np.real(np.vdot(v, -_f64_walk(x, idx, d, w) / sigma))
+
+        fd = np.array([value(delta + h * e) - value(delta - h * e) for e in np.eye(4)]) / (2 * h)
+        got = prior.delta_vjp(x, sigma, delta, v)
+        assert np.max(np.abs(got - fd)) <= 1e-4 * np.max(np.abs(fd)), (idx, got, fd)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +600,8 @@ def test_prior_rejects_non_finite_sigma(sigma):
     prior = UNetScorePrior(init_weights(TINY, seed=1))
     with pytest.raises(InvalidArgumentError):
         prior.evaluate(np.zeros((16, 16), complex), sigma, np.ones(4))
+    with pytest.raises(InvalidArgumentError):
+        prior.delta_vjp(np.zeros((16, 16), complex), sigma, np.ones(4), np.ones((16, 16)))
 
 
 def test_prior_score_is_zero_at_non_positive_sigma():
@@ -584,6 +609,7 @@ def test_prior_score_is_zero_at_non_positive_sigma():
     x = _rand_image(np.random.default_rng(10))
     for sigma in (0.0, -0.5):
         assert np.array_equal(prior.evaluate(x, sigma, np.ones(4)), np.zeros_like(x))
+        assert np.array_equal(prior.delta_vjp(x, sigma, np.ones(4), x), np.zeros(4))
 
 
 def test_memoized_evaluate_matches_fresh_forward():
