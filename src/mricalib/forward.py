@@ -270,13 +270,16 @@ def save_mask(path: str | os.PathLike, mask: SamplingMask) -> None:
 
 
 def load_mask(path: str | os.PathLike) -> SamplingMask:
-    """Read a mask tensor; anything but a real rank-2 tensor of 0s and 1s raises FormatError.
+    """Read a mask tensor; anything but a nonempty real rank-2 tensor of 0s and 1s raises
+    FormatError.
 
     A `.meta` file beside it, as older versions wrote, is not read.
     """
     bits = read_tensor(path)
     if bits.ndim != 2:
         raise FormatError(f"mask tensor {os.fspath(path)} must be rank 2, got rank {bits.ndim}")
+    if 0 in bits.shape:
+        raise FormatError(f"mask tensor {os.fspath(path)} has an empty axis, shape {bits.shape}")
     if np.iscomplexobj(bits) or not np.all((bits == 0) | (bits == 1)):
         raise FormatError(f"mask tensor {os.fspath(path)} must hold only real 0s and 1s")
     return SamplingMask(bits.astype(np.uint8))

@@ -11,10 +11,9 @@ Each encoder level, the bottleneck and each decoder level is one block,
 conv-ReLU-conv-ReLU (`_block`, `_block_bwd`); the bottleneck adds its
 noise-level embedding after the first conv, and a head conv ends the net.
 
-A calibration vector other than all ones splits each decoder level's first
-conv by linearity: it convolves the up channels only and adds two skip-band
-terms, as the bottleneck adds its embedding; this rounds differently from
-the conv of the joined channels, within 1e-13 relative in float64.  The
+A calibration vector other than all ones modulates each skip before the
+decoder joins it; the decoder walk (`_decode`, `_decode_bwd`) is the one
+training runs, and its skip gradients give the calibration gradient.  The
 all-ones vector is the identity and runs the uncalibrated network itself,
 bit for bit.  Each conv is one GEMM per sample whose tap outputs are added
 shifted, bit-identical to one GEMM per tap.
@@ -24,7 +23,8 @@ runs in float32 on weights cast once, within 1e-5 relative of the float64
 walk; training, `dsm_loss` and the weight files stay float64.  The layer
 primitives compute in the dtype of their input.  Training is denoising
 score matching with hand-derived convolution gradients and plain SGD; the
-calibration gradient (`UNetScorePrior.delta_vjp`) reuses their input halves.
+calibration gradient (`UNetScorePrior.delta_vjp`) runs the same backward
+without the weight halves.
 """
 
 from __future__ import annotations
@@ -227,10 +227,14 @@ def low_band(feat: np.ndarray, cutoff: float) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
 
 
+def _mix_bands(feat: np.ndarray, low: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """alpha * LOW + beta * (F - LOW) from F and its LOW band."""
+    return alpha * low + beta * (feat - low)
+
+
 def modulate_bands(feat: np.ndarray, alpha: float, beta: float, cutoff: float) -> np.ndarray:
     """alpha * LOW(F) + beta * HIGH(F), with HIGH = F - LOW so the partition is exact."""
-    low = low_band(feat, cutoff)
-    return alpha * low + beta * (feat - low)
+    return _mix_bands(feat, low_band(feat, cutoff), alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +254,14 @@ def _check_input(shape: tuple[int, ...], t_idx: np.ndarray, arch: UNetArch) -> N
 
 
 def _block(name: str, h: np.ndarray, weights: UNetWeights, cache: dict | None = None,
-           add: np.ndarray | None = None, w1: np.ndarray | None = None) -> np.ndarray:
-    """Conv c1 (kernel `w1` if given), plus `add` if given, ReLU, conv c2, ReLU.
+           add: np.ndarray | None = None) -> np.ndarray:
+    """Conv c1, plus `add` if given (the bottleneck's embedding), ReLU, conv c2, ReLU.
 
     A cache keeps (c1, r1, c2, r2) for `_block_bwd`.
     """
     P = weights.params
     want_cache = cache is not None
-    h, c1 = _conv2d(h, P[f"{name}.c1.w"] if w1 is None else w1, P[f"{name}.c1.b"], want_cache)
+    h, c1 = _conv2d(h, P[f"{name}.c1.w"], P[f"{name}.c1.b"], want_cache)
     if add is not None:
         h = h + add
     h, r1 = _relu(h, want_cache)
@@ -299,36 +303,30 @@ def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict 
     return _block("bot", h, weights, cache, weights.params["emb"][t_idx][:, :, None, None]), skips
 
 
-def _decode_level(i: int, h: np.ndarray, skip: np.ndarray, weights: UNetWeights,
-                  cache: dict | None = None) -> np.ndarray:
-    """Uncalibrated decoder level i: upsample h, join the raw skip, one block."""
-    return _block(f"dec{i}", np.concatenate([_up2(h), skip], axis=1), weights, cache)
+def _decode(h: np.ndarray, skips: list[np.ndarray], weights: UNetWeights,
+            cache: dict | None = None) -> np.ndarray:
+    """Decoder levels deepest first (upsample h, join the level's skip, one block), then
+    the head conv.  A cache keeps what `_decode_bwd` needs."""
+    for i in reversed(range(weights.arch.layer_count)):
+        h = _block(f"dec{i}", np.concatenate([_up2(h), skips[i]], axis=1), weights, cache)
+    out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], cache is not None)
+    if cache is not None:
+        cache["head"] = ch
+    return out
 
 
-# A calibrated decoder level splits its first conv by linearity over the
-# joined channels [up, alpha*LOW + beta*HIGH]:
-#   conv(...) + b = (conv_up(up) + b) + (alpha*conv_skip(LOW) + beta*conv_skip(HIGH))
-# with conv_up, conv_skip the kernel slices over the up and skip channels: a
-# block whose first conv sees the up channels only and adds the skip terms,
-# which depend on no calibration entry.
-
-
-def _split_level(i: int, h: np.ndarray, terms: tuple, delta, weights: UNetWeights,
-                 cache: dict | None = None) -> np.ndarray:
-    """Calibrated decoder level i in split form, from h and the level's `_skip_terms`."""
-    w_up = weights.params[f"dec{i}.c1.w"][:, : h.shape[1]]
-    # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
-    # Python floats, since an np.float64 scalar promotes float32 to float64
-    bands = float(delta[2 * i]) * terms[0] + float(delta[2 * i + 1]) * terms[1]
-    return _block(f"dec{i}", _up2(h), weights, cache, bands, w_up)
-
-
-def _skip_terms(i: int, skip: np.ndarray, weights: UNetWeights) -> tuple[np.ndarray, np.ndarray]:
-    """conv_skip(LOW) and conv_skip(HIGH) of decoder level i's raw skip, without bias."""
-    w = weights.params[f"dec{i}.c1.w"]
-    w_skip = w[:, w.shape[1] - skip.shape[1] :]
-    low = low_band(skip, weights.arch.band_cutoff)
-    return _conv2d(low, w_skip, None, False)[0], _conv2d(skip - low, w_skip, None, False)[0]
+def _decode_bwd(dout: np.ndarray, cache: dict, weights: UNetWeights, grads: dict | None = None):
+    """Backward of `_decode`, weight gradients into `grads` if given; returns the gradients at
+    the bottleneck output and at each skip."""
+    dh = _conv2d_bwd_input(dout, weights.params["head.w"])
+    if grads is not None:
+        grads["head.w"], grads["head.b"] = _conv2d_bwd_weights(dout, cache["head"])
+    dskips = []
+    for i, skip_ch in enumerate(weights.arch.widths):
+        dh, _ = _block_bwd(f"dec{i}", dh, cache, grads)
+        dskips.append(dh[:, -skip_ch:])  # the joined input is [up, skip]
+        dh = _up2_bwd(dh[:, :-skip_ch])
+    return dh, dskips
 
 
 def _forward(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, want_cache: bool = False):
@@ -336,19 +334,11 @@ def _forward(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, want_cache:
 
     Returns (out, cache); `want_cache` keeps what `_backward` needs.
     """
-    arch = weights.arch
     t_idx = np.asarray(t_idx, dtype=np.int64)
-    _check_input(x.shape, t_idx, arch)
-
+    _check_input(x.shape, t_idx, weights.arch)
     cache: dict = {"t_idx": t_idx} if want_cache else None
     h, skips = _encode(x, t_idx, weights, cache)
-    for i in reversed(range(arch.layer_count)):
-        h = _decode_level(i, h, skips[i], weights, cache)
-
-    out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], want_cache)
-    if want_cache:
-        cache["head"] = ch
-    return out, cache
+    return _decode(h, skips, weights, cache), cache
 
 
 def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.ndarray]:
@@ -356,26 +346,12 @@ def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.nda
 
     The skip branch gradient flows through the raw skip tensor.
     """
-    arch = weights.arch
-    L = arch.layer_count
     grads = {name: np.zeros_like(p) for name, p in weights.params.items()}
-
-    dh = _conv2d_bwd_input(dout, weights.params["head.w"])
-    grads["head.w"], grads["head.b"] = _conv2d_bwd_weights(dout, cache["head"])
-
-    dskips: list[np.ndarray | None] = [None] * L
-    for i in range(L):
-        dh, _ = _block_bwd(f"dec{i}", dh, cache, grads)
-        skip_ch = arch.widths[i]  # the joined input is [up, skip]
-        dskips[i] = dh[:, -skip_ch:]
-        dh = _up2_bwd(dh[:, :-skip_ch])
-
+    dh, dskips = _decode_bwd(dout, cache, weights, grads)
     dh, d_emb = _block_bwd("bot", dh, cache, grads)
     np.add.at(grads["emb"], cache["t_idx"], d_emb.sum(axis=(2, 3)))
-
-    for i in reversed(range(L)):
+    for i in reversed(range(weights.arch.layer_count)):
         dh, _ = _block_bwd(f"enc{i}", _pool2_bwd(dh) + dskips[i], cache, grads)
-
     return grads
 
 
@@ -396,12 +372,24 @@ def unet_forward(
 
 @dataclass
 class _EncoderState:
-    """What one input shares across calibration vectors: encoder outputs and skip terms."""
+    """What one input shares across calibration vectors: encoder outputs and skip LOW bands."""
 
     key: tuple  # (input shape, input bytes, noise index)
     h: np.ndarray  # bottleneck output
     skips: list[np.ndarray]
-    skip_terms: list[tuple] | None = None  # each level's _skip_terms, made on first split use
+    lows: list[np.ndarray] | None = None  # each skip's LOW band, made on first calibrated use
+
+    def decoder_skips(self, delta, cutoff: float) -> list[np.ndarray]:
+        """The skips the decoder joins: raw for delta None, else each modulated by its
+        level's (alpha, beta)."""
+        if delta is None:
+            return self.skips
+        if self.lows is None:
+            self.lows = [low_band(s, cutoff) for s in self.skips]
+        # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
+        # Python floats, since an np.float64 scalar promotes float32 to float64
+        return [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
+                for i, (s, low) in enumerate(zip(self.skips, self.lows))]
 
 
 class UNetScorePrior(ScorePrior):
@@ -412,20 +400,17 @@ class UNetScorePrior(ScorePrior):
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
     Evaluations and `delta_vjp` reuse, for the most recent (input bytes,
-    noise index), the encoder and bottleneck outputs and each decoder
-    level's split skip terms conv_skip(LOW) and conv_skip(HIGH), so a
-    step's calibration evaluation, its gradient and the denoise of the same
-    iterate share one encoder pass.  Reuse is bit for bit: every output
-    equals a fresh `unet_forward`, which runs the same walk on a fresh
-    prior.  The prior keeps no outputs: `pipeline.reconstruct` denoises
-    each input once per step and shares the result.
+    noise index), the encoder and bottleneck outputs and each skip's LOW
+    band, so a step's calibration evaluation, its gradient and the denoise
+    of the same iterate share one encoder pass.  Reuse is bit for bit: every
+    output equals a fresh `unet_forward`, which runs the same walk on a
+    fresh prior.  The prior keeps no outputs: `pipeline.reconstruct`
+    denoises each input once per step and shares the result.
 
-    A calibrated level sums the split terms where the uncalibrated network
-    convolves the joined channels, so a calibrated output differs from the
-    concatenated form (modulate_bands, join, one conv) by rounding only,
-    within 1e-13 relative in float64.  The all-ones vector runs as None, the
-    concatenated form itself, so the identity is the uncalibrated network
-    bit for bit and an uncalibrated run pays for no split terms.
+    A calibrated decoder joins the modulated skips where the uncalibrated
+    one joins the raw skips; the decoder walk is the same.  The all-ones
+    vector runs as None, so the identity is the uncalibrated network bit
+    for bit and an uncalibrated run computes no LOW band.
 
     The network runs in float32 on a copy of the weights cast once here;
     the output goes back to complex128 before it is returned, and
@@ -433,7 +418,7 @@ class UNetScorePrior(ScorePrior):
     caller's `weights.params` do not reach the prior, so build a new one.
 
     The memory this holds is bounded by one set of encoder activations and
-    two first-conv outputs per level.
+    one LOW band per skip.
     """
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
@@ -467,9 +452,9 @@ class UNetScorePrior(ScorePrior):
     def delta_vjp(self, x, sigma, delta, v):
         """Re<v, d evaluate(x, sigma, delta) / d delta_j> for each calibration entry j.
 
-        Backpropagates through the split decoder (all ones included) to each
-        level's first-conv output d_l: d alpha_l = <d_l, conv_skip(LOW_l)>, d beta_l
-        = <d_l, conv_skip(HIGH_l)>.  Follows `evaluate`'s sigma contract.
+        Backpropagates through the decoder on the modulated skips (all ones
+        included) to each skip's gradient d_l: d alpha_l = <d_l, LOW_l>,
+        d beta_l = <d_l, F_l - LOW_l>.  Follows `evaluate`'s sigma contract.
         """
         x = np.asarray(x, dtype=np.complex128)
         if not np.isfinite(sigma):
@@ -478,23 +463,19 @@ class UNetScorePrior(ScorePrior):
             return np.zeros(2 * self.layer_count)
         W, L = self._weights, self.layer_count
         delta = validate_delta(delta, L)
-        idx = int(np.argmin(np.abs(self._sigmas - sigma)))
-        enc = self._encoder_state(x, idx, split=True)
-        h, cache = enc.h, {}
-        for i in reversed(range(L)):
-            h = _split_level(i, h, enc.skip_terms[i], delta, W, cache)
+        enc = self._encoder_state(x, int(np.argmin(np.abs(self._sigmas - sigma))))
+        cache: dict = {}
+        _decode(enc.h, enc.decoder_skips(delta, W.arch.band_cutoff), W, cache)
         v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
-        dh = _conv2d_bwd_input(v2, W.params["head.w"])
+        _, dskips = _decode_bwd(v2, cache, W)
         grad = np.empty(2 * L)
-        for i in range(L):
-            dh, d_c1 = _block_bwd(f"dec{i}", dh, cache)
-            for j, term in enumerate(enc.skip_terms[i]):
-                grad[2 * i + j] = np.sum(d_c1 * term, dtype=np.float64)
-            dh = _up2_bwd(dh)
+        for i, (d_skip, skip, low) in enumerate(zip(dskips, enc.skips, enc.lows)):
+            grad[2 * i] = np.sum(d_skip * low, dtype=np.float64)
+            grad[2 * i + 1] = np.sum(d_skip * (skip - low), dtype=np.float64)
         return -grad / sigma
 
-    def _encoder_state(self, x: np.ndarray, idx: int, split: bool) -> _EncoderState:
-        """The encoder state of an (H, W) image at ladder index idx; `split` adds skip terms."""
+    def _encoder_state(self, x: np.ndarray, idx: int) -> _EncoderState:
+        """The encoder state of an (H, W) image at ladder index idx."""
         if x.ndim != 2:
             raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
         in_key = (x.shape, x.tobytes(), idx)
@@ -503,10 +484,7 @@ class UNetScorePrior(ScorePrior):
             t_idx = np.array([idx], dtype=np.int64)
             _check_input(x2.shape, t_idx, self._weights.arch)
             self._encoded = _EncoderState(in_key, *_encode(x2, t_idx, self._weights))
-        enc = self._encoded
-        if split and enc.skip_terms is None:
-            enc.skip_terms = [_skip_terms(i, s, self._weights) for i, s in enumerate(enc.skips)]
-        return enc
+        return self._encoded
 
     def _predict_noise(self, x: np.ndarray, idx: int, delta) -> np.ndarray:
         """The network's complex output for one (H, W) image at ladder index idx.
@@ -514,20 +492,12 @@ class UNetScorePrior(ScorePrior):
         Reuses what earlier calls computed; a vector of all ones runs as None.
         """
         W = self._weights
-        L = W.arch.layer_count
         if delta is not None:
-            delta = validate_delta(delta, L)
+            delta = validate_delta(delta, W.arch.layer_count)
             if np.all(delta == 1.0):
                 delta = None
-        enc = self._encoder_state(x, idx, split=delta is not None)
-        h = enc.h
-        for i in reversed(range(L)):
-            if delta is None:
-                h = _decode_level(i, h, enc.skips[i], W)
-            else:
-                h = _split_level(i, h, enc.skip_terms[i], delta, W)
-        P = W.params
-        head, _ = _conv2d(h, P["head.w"], P["head.b"], False)
+        enc = self._encoder_state(x, idx)
+        head = _decode(enc.h, enc.decoder_skips(delta, W.arch.band_cutoff), W)
         return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
 
 

@@ -273,10 +273,15 @@ def test_criterion_8_directional_ablation():
     gain, wins = paired_gain(rows["Ours"], rows["w/o FPC"])
 
     elapsed = time.perf_counter() - started
-    assert both_on >= max(fpc_only, rpa_only), f"{both_on:.2f} < max({fpc_only:.2f}, {rpa_only:.2f})"
-    assert max(fpc_only, rpa_only) >= both_off
-    assert both_on - both_off >= 0.3, f"full adaptation gain only {both_on - both_off:.2f} dB"
-    assert elapsed < 1800.0
+    # every failure names the four row means in full and the paired gain, since the rows
+    # sit a few hundredths of a dB apart and move with the BLAS kernel
+    detail = (f"row means Baseline {both_off!r}, w/o RPA {fpc_only!r}, w/o FPC {rpa_only!r}, "
+              f"Ours {both_on!r}; Ours - w/o FPC {gain!r} dB, {wins}/{len(cases)} wins; "
+              f"{elapsed:.0f}s")
+    assert both_on >= max(fpc_only, rpa_only), detail
+    assert max(fpc_only, rpa_only) >= both_off, detail
+    assert both_on - both_off >= 0.3, detail
+    assert elapsed < 1800.0, detail
     _report(
         8,
         f"PSNR: off {both_off:.2f} | cal-only {fpc_only:.2f} | weight-only {rpa_only:.2f} "

@@ -101,6 +101,19 @@ def test_rank_one_mask_exits_4(tmp_path, capsys):
     assert "rank 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (8, 0)], ids=["0x0", "8x0"])
+def test_zero_size_mask_exits_4(tmp_path, capsys, shape):
+    """A mask with an empty axis is a format error that names the file, even when the
+    k-space and coil maps match its shape."""
+    write_tensor(tmp_path / "kspace.bt", np.zeros((1, *shape), complex))
+    write_tensor(tmp_path / "sens.bt", np.ones((1, *shape), complex))
+    write_tensor(tmp_path / "mask.bt", np.zeros(shape))
+    assert _reconstruct_sim(tmp_path, tmp_path / "o") == 4
+    err = capsys.readouterr().err
+    assert "empty axis" in err and str(tmp_path / "mask.bt") in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, 0.5, 2.0, 1j], ids=["nan", "half", "two", "complex"])
 def test_mask_values_other_than_0_and_1_exit_4(tmp_path, capsys, sim16, value):
     """A mask is a real 0/1 tensor; any other entry is a format error, never a sampled entry."""

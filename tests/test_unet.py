@@ -27,11 +27,9 @@ from mricalib.unet import (
     _conv2d,
     _conv2d_bwd_input,
     _conv2d_bwd_weights,
-    _decode_level,
+    _decode,
     _encode,
     _forward,
-    _skip_terms,
-    _split_level,
 )
 
 TINY = UNetArch(widths=(3, 4), bottleneck=5, emb_steps=6)
@@ -124,7 +122,8 @@ def _ref_conv2d_bwd(dy, xp, w):
 
 
 def _c8_conv_shapes(size=64):
-    """(Cin, Cout, side) of every conv the acceptance prior runs, split decoder slices included."""
+    """(Cin, Cout, side) of every conv the acceptance prior runs, and of the up- and
+    skip-channel slices of each decoder level's first conv."""
     shapes = set()
     for name, shape in C8.param_shapes().items():
         if not name.endswith(".w"):
@@ -266,18 +265,16 @@ def _reference_forward(x, t, delta, weights):
 
 def _f64_walk(x, t, delta, weights):
     """`UNetScorePrior`'s walk run in float64 with float64 weights and nothing reused:
-    the split decoder for a calibration vector, the uncalibrated network for None or
-    all ones.  The reference for the float32 prior."""
-    P, L = weights.params, weights.arch.layer_count
+    modulate_bands on the skips for a calibration vector, the raw skips for None or all
+    ones, then the decoder.  The reference for the float32 prior."""
+    arch = weights.arch
     if delta is not None and np.all(delta == 1.0):
         delta = None
     h, skips = _encode(np.stack([x.real, x.imag])[None], np.array([t]), weights)
-    for i in reversed(range(L)):
-        if delta is None:
-            h = _decode_level(i, h, skips[i], weights)
-        else:
-            h = _split_level(i, h, _skip_terms(i, skips[i], weights), delta, weights)
-    head = _conv2d(h, P["head.w"], P["head.b"], False)[0]
+    if delta is not None:
+        skips = [modulate_bands(s, delta[2 * i], delta[2 * i + 1], arch.band_cutoff)
+                 for i, s in enumerate(skips)]
+    head = _decode(h, skips, weights)
     return head[0, 0] + 1j * head[0, 1]
 
 
@@ -288,9 +285,10 @@ def _assert_f32_close(got, want):
     assert np.max(np.abs(err)) <= F32_RTOL * np.max(np.abs(want))
 
 
-def test_split_decoder_matches_concatenated_form():
-    """The float64 walk's calibrated outputs agree with the concatenated form to 1e-13, and
-    delta None is that form; the float32 network stays within F32_RTOL of it."""
+def test_calibrated_walk_is_the_concatenated_form():
+    """The float64 walk is the concatenated form bit for bit for None and every vector but
+    all ones, which joins the raw skips where the form modulates by 1 and agrees to 1e-13;
+    the float32 network stays within F32_RTOL of it."""
     rng = np.random.default_rng(13)
     arch = UNetArch(widths=(3, 4, 4), bottleneck=5, emb_steps=6)
     w = init_weights(arch, seed=14)
@@ -312,7 +310,10 @@ def test_split_decoder_matches_concatenated_form():
     for delta in probes:
         want = _reference_forward(x, 2, delta, w)
         walked = _f64_walk(x, 2, delta, w)
-        assert np.max(np.abs(walked - want)) <= 1e-13 * np.max(np.abs(want)), delta
+        if np.all(delta == 1.0):
+            assert np.max(np.abs(walked - want)) <= 1e-13 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(walked, want), delta
         got = unet_forward(x, 2, delta, w)
         _assert_f32_close(got, want)
         assert np.array_equal(prior.evaluate(x, sigma, delta), -got / sigma)
@@ -339,8 +340,8 @@ def test_float32_prior_matches_float64_walk_on_prior_shapes(calibratable):
 
 
 def test_inference_runs_in_float32(monkeypatch):
-    """The encoder state, the memoised skip terms and every conv's input, kernel and
-    output are float32 on both decoder paths; evaluate returns complex128."""
+    """The encoder state, the memoised LOW bands and every conv's input, kernel and
+    output are float32, calibrated or not; evaluate returns complex128."""
     seen = set()
     conv = unet._conv2d
 
@@ -357,8 +358,8 @@ def test_inference_runs_in_float32(monkeypatch):
     for delta in (None, np.array([1.1, 0.9, 0.8, 1.2]), np.array([1.1, 0.9, 0.8, 1.25])):
         assert prior.evaluate(x, 0.5, delta).dtype == np.complex128
     enc = prior._encoded
-    held = [enc.h, *enc.skips, *(t for terms in enc.skip_terms for t in terms)]
-    assert len(held) == 1 + 2 + 4
+    held = [enc.h, *enc.skips, *enc.lows]
+    assert len(held) == 1 + 2 + 2
     assert all(a.dtype == np.float32 for a in held)
     assert seen == {(np.dtype(np.float32),) * 3}
 
@@ -396,15 +397,23 @@ def test_hand_gradients_match_finite_differences():
             assert abs(fd - grads[name][idx]) <= 1e-5 * max(abs(fd), 1e-8), name
 
 
-@pytest.mark.parametrize("delta", [np.ones(4), np.array([1.1, 0.8, 0.9, 1.3])],
-                         ids=["identity", "perturbed"])
-def test_delta_vjp_matches_finite_differences_of_float64_walk(delta):
+THREE_LEVELS = UNetArch(widths=(4, 6, 8), bottleneck=10, emb_steps=25)
+
+
+@pytest.mark.parametrize("arch,delta", [
+    (C8, np.ones(4)),
+    (C8, np.array([1.1, 0.8, 0.9, 1.3])),
+    (THREE_LEVELS, np.ones(6)),
+    (THREE_LEVELS, np.array([1.1, 0.8, 0.9, 1.3, 1.2, 0.7])),
+], ids=["identity", "perturbed", "three-levels-identity", "three-levels-perturbed"])
+def test_delta_vjp_matches_finite_differences_of_float64_walk(arch, delta):
     """The float32 prior's Re<v, d evaluate / d delta_j> equals central differences of the
-    float64 walk within 1e-4 of the largest entry, at a high and a low noise level."""
+    float64 walk within 1e-4 of the largest entry, at a high and a low noise level, on the
+    acceptance prior and on three levels of distinct widths."""
     rng = np.random.default_rng(22)
-    w = init_weights(C8, seed=23)
+    w = init_weights(arch, seed=23)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
-    sigmas = C8.sigma_ladder()
+    sigmas = arch.sigma_ladder()
     prior = UNetScorePrior(w)
     clean = make_phantom(PhantomSpec(size=64, seed=24, contrast_exponent=1.5, bias_amplitude=0.3))
     h = 1e-6  # small enough that no ReLU of the walk switches inside a probe pair
@@ -416,7 +425,8 @@ def test_delta_vjp_matches_finite_differences_of_float64_walk(delta):
         def value(d):
             return np.real(np.vdot(v, -_f64_walk(x, idx, d, w) / sigma))
 
-        fd = np.array([value(delta + h * e) - value(delta - h * e) for e in np.eye(4)]) / (2 * h)
+        fd = np.array([value(delta + h * e) - value(delta - h * e)
+                       for e in np.eye(delta.size)]) / (2 * h)
         got = prior.delta_vjp(x, sigma, delta, v)
         assert np.max(np.abs(got - fd)) <= 1e-4 * np.max(np.abs(fd)), (idx, got, fd)
 
