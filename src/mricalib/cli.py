@@ -7,8 +7,10 @@ Subcommands:
     traces       saved report JSON -> plain-text trace columns
     train        synthetic phantoms -> toy denoising prior weights
 
-The run-setting flags of reconstruct and ablate are generated from the
-fields of ReconConfig and its nested CGConfig (see settings.py).
+Flags are generated from declared settings (see settings.py): the
+run-setting flags of reconstruct and ablate from ReconConfig and its
+nested CGConfig, the phantom flags of simulate and ablate from
+PhantomSpec, and the architecture flags of train from UNetArch.
 
 Exit codes: 0 success, 2 argument error, 3 numeric error, 4 I/O error.
 """
@@ -43,7 +45,8 @@ from .unet import UNetArch, UNetScorePrior, load_weights, save_weights, train_to
 
 
 def _add_setting_flags(p: argparse.ArgumentParser, cls: type = ReconConfig, prefix: str = "") -> None:
-    """One flag per declared field of cls; nested settings dataclasses are flattened."""
+    """One flag per declared field of cls; nested settings dataclasses are flattened, and a
+    tuple[int, ...] field takes one or more values."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         kind, dest, meta = hints[f.name], prefix + f.name, f.metadata
@@ -55,18 +58,21 @@ def _add_setting_flags(p: argparse.ArgumentParser, cls: type = ReconConfig, pref
             p.add_argument(flag, dest=dest, action="store_false" if f.default else "store_true",
                            help=meta["help"])
         else:
-            p.add_argument(flag, dest=dest, type=kind, default=f.default,
+            many = typing.get_origin(kind) is tuple
+            p.add_argument(flag, dest=dest, type=typing.get_args(kind)[0] if many else kind,
+                           nargs="+" if many else None, default=f.default,
                            choices=meta["rule"].choices if meta["rule"] else None,
                            help=f"{meta['help']} (default: %(default)s)")
 
 
 def _config_from_args(args: argparse.Namespace, cls: type = ReconConfig, prefix: str = ""):
     hints = typing.get_type_hints(cls)
-    return cls(**{
+    values = {
         f.name: (_config_from_args(args, hints[f.name], f"{prefix}{f.name}.")
                  if dataclasses.is_dataclass(hints[f.name]) else getattr(args, prefix + f.name))
         for f in dataclasses.fields(cls)
-    })
+    }  # a nargs flag parses to a list; its field holds a tuple
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def _add_prior_flags(p: argparse.ArgumentParser, default: str) -> None:
@@ -76,34 +82,21 @@ def _add_prior_flags(p: argparse.ArgumentParser, default: str) -> None:
     p.add_argument("--weights", help="weights file of --prior unet (its .arch sets the band cutoff)")
 
 
-def _add_case_flags(p: argparse.ArgumentParser, coils: int, contrast: float,
-                    bias_amplitude: float, seeds: tuple[int, int, int]) -> None:
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--coils", type=int, default=coils)
-    p.add_argument("--kind", choices=MASK_KINDS, default="Gaussian1D")
+def _add_case_flags(p: argparse.ArgumentParser) -> None:
+    _add_setting_flags(p, PhantomSpec)
+    p.add_argument("--coils", type=int, default=4)
+    p.add_argument("--kind", dest="mask_kind", choices=MASK_KINDS, default="Gaussian1D")
     p.add_argument("--accel", type=float, default=4.0)
     p.add_argument("--acs-fraction", type=float, default=0.08)
     p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--phantom-kind", choices=PHANTOM_KINDS, default="ellipse-phantom")
-    p.add_argument("--contrast", type=float, default=contrast)
-    p.add_argument("--bias-amplitude", type=float, default=bias_amplitude)
-    p.add_argument("--resolution-scale", type=float, default=1.0)
-    p.add_argument("--seed-phantom", type=int, default=seeds[0])
-    p.add_argument("--seed-mask", type=int, default=seeds[1])
-    p.add_argument("--seed-coils", type=int, default=seeds[2])
+    p.add_argument("--seed-mask", type=int, default=0)
+    p.add_argument("--seed-coils", type=int, default=0)
 
 
 def _cases_from_args(args: argparse.Namespace, count: int) -> list[dict]:
-    spec = PhantomSpec(
-        kind=args.phantom_kind,
-        size=args.size,
-        contrast_exponent=args.contrast,
-        bias_amplitude=args.bias_amplitude,
-        resolution_scale=args.resolution_scale,
-        seed=args.seed_phantom,
-    )
-    return shifted_cases(count, spec, args.coils, args.kind, args.accel, args.acs_fraction,
-                         args.noise_std, args.seed_mask, args.seed_coils, args.seed_noise)
+    return shifted_cases(count, _config_from_args(args, PhantomSpec), args.coils, args.mask_kind,
+                         args.accel, args.acs_fraction, args.noise_std, args.seed_mask,
+                         args.seed_coils, args.seed_noise)
 
 
 def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
@@ -198,14 +191,7 @@ def _cmd_traces(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    arch = UNetArch(
-        widths=tuple(args.widths),
-        bottleneck=args.bottleneck,
-        emb_steps=args.emb_steps,
-        sigma_min=args.sigma_min,
-        sigma_max=args.sigma_max,
-        band_cutoff=args.band_cutoff,
-    )
+    arch = _config_from_args(args, UNetArch)
     images = [
         make_phantom(PhantomSpec(size=args.size, seed=s, kind=k))
         for s in range(args.images)
@@ -226,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="phantom -> k-space tensor files")
     sim.add_argument("--out-dir", required=True)
-    _add_case_flags(sim, coils=4, contrast=1.0, bias_amplitude=0.0, seeds=(0, 0, 0))
+    _add_case_flags(sim)
     sim.add_argument("--seed-noise", type=int, default=0)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -244,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     abl = sub.add_parser("ablate", help="toggle-grid ablation over shifted phantoms")
     abl.add_argument("--out-dir", required=True)
     abl.add_argument("--cases", type=int, default=4)
-    _add_case_flags(abl, coils=2, contrast=1.5, bias_amplitude=0.3, seeds=(1000, 2000, 3000))
+    _add_case_flags(abl)
+    abl.set_defaults(coils=2, contrast_exponent=1.5, bias_amplitude=0.3, seed=1000, seed_mask=2000,
+                     seed_coils=3000)  # shifted away from simulate's phantoms
     _add_prior_flags(abl, default="unet")
     _add_setting_flags(abl)  # its --seed-noise also seeds case i's measurement noise (+ i)
     abl.set_defaults(func=_cmd_ablate)
@@ -264,12 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     trn.add_argument("--lr", type=float, default=0.3)
     trn.add_argument("--batch-size", type=int, default=4)
     trn.add_argument("--seed", type=int, default=0)
-    trn.add_argument("--widths", type=int, nargs="+", default=[8, 16])
-    trn.add_argument("--bottleneck", type=int, default=32)
-    trn.add_argument("--emb-steps", type=int, default=25)
-    trn.add_argument("--sigma-min", type=float, default=0.01)
-    trn.add_argument("--sigma-max", type=float, default=1.0)
-    trn.add_argument("--band-cutoff", type=float, default=0.25)
+    _add_setting_flags(trn, UNetArch)
     trn.set_defaults(func=_cmd_train)
 
     return parser

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidArgumentError
 from .fourier import fft2c, ifft2c
+from .settings import SEED
 from .tensorio import read_tensor, write_tensor
 
 MASK_KINDS = ("Gaussian1D", "Uniform1D", "Gaussian2D")
@@ -115,6 +116,7 @@ def generate_mask(
         raise InvalidArgumentError(f"acceleration factor must lie in [1, width={width}], got {accel}")
     if not 0 < acs_fraction <= 1:
         raise InvalidArgumentError(f"acs_fraction must lie in (0, 1], got {acs_fraction}")
+    SEED.check("seed", seed)
 
     bits = np.zeros((height, width), dtype=np.uint8)
     rng = np.random.default_rng(seed)
@@ -170,6 +172,7 @@ def synth_coil_maps(coils: int, height: int, width: int, seed: int = 0) -> np.nd
         raise InvalidArgumentError("need at least one coil")
     if height < 1 or width < 1:
         raise InvalidArgumentError("map dimensions must be positive")
+    SEED.check("seed", seed)
     if coils == 1:
         return np.ones((1, height, width), dtype=np.complex128)
 
@@ -256,6 +259,7 @@ def add_noise(y: np.ndarray, mask: SamplingMask, noise_std: float, seed: int = 0
     """Add i.i.d. complex Gaussian noise (per-component std) on sampled entries only."""
     if not 0 <= noise_std < np.inf:
         raise InvalidArgumentError(f"noise_std must be a finite number >= 0, got {noise_std}")
+    SEED.check("seed", seed)
     y = np.asarray(y, dtype=np.complex128)
     if noise_std == 0:
         return y.copy()

@@ -9,6 +9,9 @@ the unshifted phantom stays inside [1-a, 1+a]), and a resolution scale
 that blurs toward lower effective resolution (a Gaussian of width
 1/scale - 1 pixels, at most the phantom size).  A gentle smooth phase
 makes the output genuinely complex.
+
+`PhantomSpec` declares each field with its help and rule (settings.py);
+`simulate` and `ablate` generate their phantom flags from it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import InvalidArgumentError
+from .settings import POSITIVE, SEED, Rule, check_settings, integer_at_least, one_of, setting
 
 PHANTOM_KINDS = ("ellipse-phantom", "piecewise-smooth", "texture-mix")
 
@@ -28,25 +32,22 @@ _PHASE_AMPLITUDE = 0.3  # radians
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    kind: str = "ellipse-phantom"
-    size: int = 64
-    contrast_exponent: float = 1.0
-    bias_amplitude: float = 0.0
-    resolution_scale: float = 1.0
-    seed: int = 0
+    kind: str = setting("ellipse-phantom", "phantom family", one_of(*PHANTOM_KINDS),
+                        flag="--phantom-kind")
+    size: int = setting(64, "image side in pixels", integer_at_least(8))
+    contrast_exponent: float = setting(1.0, "contrast shift: magnitude ** exponent", POSITIVE,
+                                       flag="--contrast")
+    bias_amplitude: float = setting(0.0, "amplitude a of the bias field 1 + a*g",
+                                    Rule("a number in [0, 1)", lambda v: not 0 <= v < 1))
+    resolution_scale: float = setting(1.0, "resolution shift: blur width 1/scale - 1 pixels",
+                                      Rule("a number in (0, 1]", lambda v: not 0 < v <= 1))
+    seed: int = setting(0, "seed of the phantom draw", SEED, flag="--seed-phantom")
 
     def __post_init__(self):
-        if self.kind not in PHANTOM_KINDS:
-            raise InvalidArgumentError(f"unknown phantom kind {self.kind!r}")
-        if self.size < 8:
-            raise InvalidArgumentError("phantom size must be >= 8")
-        if not 0 < self.contrast_exponent < np.inf:
-            raise InvalidArgumentError("contrast exponent must be a finite number > 0")
-        if not 0 <= self.bias_amplitude < 1:
-            raise InvalidArgumentError("bias amplitude must lie in [0, 1)")
-        if not (0 < self.resolution_scale <= 1 and 1 / self.resolution_scale - 1 <= self.size):
-            raise InvalidArgumentError(
-                "resolution scale must lie in (0, 1] with blur width 1/scale - 1 <= size")
+        check_settings(self)
+        if not 1 / self.resolution_scale - 1 <= self.size:
+            raise InvalidArgumentError(f"resolution_scale must give a blur width 1/scale - 1 "
+                                       f"of at most size {self.size}, got {self.resolution_scale}")
 
 
 def _smooth_field(n: int, rng: np.random.Generator, rel_sigma: float = 0.125) -> np.ndarray:

@@ -4,8 +4,9 @@ A settings dataclass declares each field with `setting(...)`: its default,
 a help line, the rule its value must satisfy and, where it differs from
 the field name, its command-line flag.  `check_settings` validates every
 field in one loop; the command line builds its flags and the config from
-the same declarations.  Rules are written so that NaN breaks them
-(`not x > 0`, never `x <= 0`).
+the same declarations (ReconConfig, CGConfig, UNetArch, PhantomSpec).
+`Rule.check` checks a plain argument, such as a generator's seed.  Rules
+are written so that NaN breaks them (`not x > 0`, never `x <= 0`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,20 @@ class Rule:
     reject: Callable[[Any], bool]
     choices: tuple | None = None
 
+    def check(self, name: str, value: Any) -> None:
+        """Raise InvalidArgumentError if value breaks the rule."""
+        if self.reject(value):
+            raise InvalidArgumentError(f"{name} must be {self.text}, got {value!r}")
+
+
+def integer_at_least(low: int) -> Rule:
+    return Rule(f"an integer >= {low}", lambda v: not (_is_int(v) and v >= low))
+
 
 POSITIVE = Rule("a finite number > 0", lambda v: not 0 < v < math.inf)
 NON_NEGATIVE = Rule("a finite number >= 0", lambda v: not 0 <= v < math.inf)
-COUNT = Rule("an integer >= 1", lambda v: not (_is_int(v) and v >= 1))
-SEED = Rule("an integer >= 0", lambda v: not (_is_int(v) and v >= 0))
+COUNT = integer_at_least(1)
+SEED = integer_at_least(0)
 
 
 def one_of(*choices: str) -> Rule:
@@ -49,6 +59,6 @@ def setting(default: Any = MISSING, help: str = "", rule: Rule | None = None, *,
 def check_settings(obj: Any) -> None:
     """Raise InvalidArgumentError for the first field that breaks its rule."""
     for f in fields(obj):
-        rule, value = f.metadata.get("rule"), getattr(obj, f.name)
-        if rule is not None and rule.reject(value):
-            raise InvalidArgumentError(f"{f.name} must be {rule.text}, got {value!r}")
+        rule = f.metadata.get("rule")
+        if rule is not None:
+            rule.check(f.name, getattr(obj, f.name))

@@ -10,6 +10,9 @@ band is formed by subtraction, so the band partition is exact).
 Each encoder level, the bottleneck and each decoder level is one block,
 conv-ReLU-conv-ReLU (`_block`, `_block_bwd`); the bottleneck adds its
 noise-level embedding after the first conv, and a head conv ends the net.
+Every conv is KERNEL x KERNEL, and the net has IN_CHANNELS = 2 channels in
+and out; `UNetArch` declares the rest with its help and rules
+(settings.py), and `train` generates its architecture flags from it.
 
 A calibration vector other than all ones modulates each skip before the
 decoder joins it; the decoder walk (`_decode`, `_decode_bwd`) is the one
@@ -39,39 +42,33 @@ import numpy as np
 from .errors import FormatError, InvalidArgumentError
 from .priors import ScorePrior, validate_delta
 from .sampler import build_schedule
+from .settings import COUNT, POSITIVE, SEED, Rule, check_settings, integer_at_least, setting
 from .tensorio import read_tensor, write_tensor
+
+IN_CHANNELS = 2  # (re, im), in and out
+KERNEL = 3  # side of every conv kernel
 
 
 @dataclass(frozen=True)
 class UNetArch:
-    """Architecture descriptor; fully determines parameter names and shapes."""
+    """Architecture descriptor; with IN_CHANNELS and KERNEL it fully determines parameter
+    names and shapes."""
 
-    in_channels: int = 2
-    widths: tuple[int, ...] = (8, 16)  # encoder widths, one per skip layer
-    bottleneck: int = 32
-    kernel: int = 3
-    emb_steps: int = 100  # rows of the noise-level embedding table
-    sigma_min: float = 0.01  # noise ladder the embedding indexes into
-    sigma_max: float = 1.0
-    band_cutoff: float = 0.25  # low/high split radius as a fraction of Nyquist
+    widths: tuple[int, ...] = setting((8, 16), "encoder widths, one per skip layer")
+    bottleneck: int = setting(32, "bottleneck width", COUNT)
+    emb_steps: int = setting(25, "rows of the noise-level embedding table", COUNT)
+    sigma_min: float = setting(0.01, "lowest level of the ladder the embedding indexes", POSITIVE)
+    sigma_max: float = setting(1.0, "highest level of that ladder", POSITIVE)
+    band_cutoff: float = setting(0.25, "low/high split radius as a fraction of Nyquist",
+                                 Rule("a number in (0, 1)", lambda v: not 0 < v < 1))
 
     def __post_init__(self):
-        if len(self.widths) < 1:
-            raise InvalidArgumentError("need at least one encoder level")
-        if self.in_channels != 2:
-            raise InvalidArgumentError(f"in_channels must be 2 (re, im), got {self.in_channels}")
-        if min(self.bottleneck, *self.widths) < 1:
-            raise InvalidArgumentError("channel counts must be >= 1")
-        if self.kernel < 1 or self.kernel % 2 != 1:
-            raise InvalidArgumentError("kernel size must be odd and >= 1")
-        if not self.emb_steps >= 1:
-            raise InvalidArgumentError(f"emb_steps must be >= 1, got {self.emb_steps}")
-        if not 0 < self.sigma_min < self.sigma_max < np.inf:  # NaN fails too
+        check_settings(self)
+        if not self.widths or any(COUNT.reject(w) for w in self.widths):
+            raise InvalidArgumentError(f"widths must be one or more integers >= 1, got {self.widths}")
+        if not self.sigma_min < self.sigma_max:
             raise InvalidArgumentError(
-                f"need 0 < sigma_min < sigma_max < inf, got {self.sigma_min}, {self.sigma_max}"
-            )
-        if not 0 < self.band_cutoff < 1:
-            raise InvalidArgumentError("band_cutoff must lie in (0, 1)")
+                f"need sigma_min < sigma_max, got {self.sigma_min}, {self.sigma_max}")
 
     @property
     def layer_count(self) -> int:
@@ -81,7 +78,7 @@ class UNetArch:
         return build_schedule(self.emb_steps, self.sigma_max, self.sigma_min)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        k = self.kernel
+        k = KERNEL
         shapes: dict[str, tuple[int, ...]] = {}
 
         def block(name: str, cin: int, cout: int) -> None:
@@ -90,7 +87,7 @@ class UNetArch:
             shapes[f"{name}.c2.w"] = (cout, cout, k, k)
             shapes[f"{name}.c2.b"] = (cout,)
 
-        prev = self.in_channels
+        prev = IN_CHANNELS
         for i, w in enumerate(self.widths):
             block(f"enc{i}", prev, w)
             prev = w
@@ -99,8 +96,8 @@ class UNetArch:
         for i in reversed(range(self.layer_count)):
             block(f"dec{i}", prev + self.widths[i], self.widths[i])
             prev = self.widths[i]
-        shapes["head.w"] = (self.in_channels, prev, k, k)
-        shapes["head.b"] = (self.in_channels,)
+        shapes["head.w"] = (IN_CHANNELS, prev, k, k)
+        shapes["head.b"] = (IN_CHANNELS,)
         shapes["emb"] = (self.emb_steps, self.bottleneck)
         return shapes
 
@@ -205,10 +202,6 @@ def _pool2(x):
     return x.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
 
 
-def _pool2_bwd(dy):
-    return np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3) / 4.0
-
-
 def _up2(x):
     return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
 
@@ -245,8 +238,8 @@ def modulate_bands(feat: np.ndarray, alpha: float, beta: float, cutoff: float) -
 def _check_input(shape: tuple[int, ...], t_idx: np.ndarray, arch: UNetArch) -> None:
     L = arch.layer_count
     _, C, H, W = shape
-    if C != arch.in_channels:
-        raise InvalidArgumentError(f"expected {arch.in_channels} channels, got {C}")
+    if C != IN_CHANNELS:
+        raise InvalidArgumentError(f"expected {IN_CHANNELS} channels, got {C}")
     if H % (1 << L) or W % (1 << L):
         raise InvalidArgumentError(f"spatial size {H}x{W} not divisible by {1 << L}")
     if np.any(t_idx < 0) or np.any(t_idx >= arch.emb_steps):
@@ -330,7 +323,7 @@ def _decode_bwd(dout: np.ndarray, cache: dict, weights: UNetWeights, grads: dict
 
 
 def _forward(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, want_cache: bool = False):
-    """Batched uncalibrated pass for training.  x: (B, in_channels, H, W); t_idx: (B,) int.
+    """Batched uncalibrated pass for training.  x: (B, IN_CHANNELS, H, W); t_idx: (B,) int.
 
     Returns (out, cache); `want_cache` keeps what `_backward` needs.
     """
@@ -351,7 +344,7 @@ def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.nda
     dh, d_emb = _block_bwd("bot", dh, cache, grads)
     np.add.at(grads["emb"], cache["t_idx"], d_emb.sum(axis=(2, 3)))
     for i in reversed(range(weights.arch.layer_count)):
-        dh, _ = _block_bwd(f"enc{i}", _pool2_bwd(dh) + dskips[i], cache, grads)
+        dh, _ = _block_bwd(f"enc{i}", _up2(dh) / 4.0 + dskips[i], cache, grads)
     return grads
 
 
@@ -511,11 +504,13 @@ def save_weights(path: str | os.PathLike, weights: UNetWeights) -> None:
     shapes = arch.param_shapes()
     flat = np.concatenate([weights.params[name].ravel() for name in shapes])
     write_tensor(path, flat)
+    # the line order of existing sidecars, so re-saving loaded weights gives the same bytes
+    lines = {"in_channels": IN_CHANNELS, "widths": arch.widths, "bottleneck": arch.bottleneck,
+             "kernel": KERNEL, **{f.name: getattr(arch, f.name) for f in fields(arch)}}
     with open(f"{os.fspath(path)}.arch", "w") as fh:
-        for f in fields(arch):
-            value = getattr(arch, f.name)
+        for name, value in lines.items():
             text = ",".join(str(w) for w in value) if isinstance(value, tuple) else repr(value)
-            fh.write(f"{f.name}={text}\n")
+            fh.write(f"{name}={text}\n")
 
 
 def load_weights(path: str | os.PathLike) -> UNetWeights:
@@ -523,13 +518,15 @@ def load_weights(path: str | os.PathLike) -> UNetWeights:
     if not os.path.exists(desc_path):
         raise FormatError(f"missing architecture descriptor {desc_path}")
     text: dict[str, str] = {}
-    try:  # every field is required; its default's type parses it, UNetArch checks it
+    try:  # every line is required; a field's default's type parses it, UNetArch checks it
         with open(desc_path) as fh:
             for line in fh:
                 line = line.strip()
                 if line and "=" in line:
                     key, val = line.split("=", 1)
                     text[key] = val
+        if (int(text["in_channels"]), int(text["kernel"])) != (IN_CHANNELS, KERNEL):
+            raise ValueError(f"need in_channels={IN_CHANNELS} and kernel={KERNEL}")
         arch = UNetArch(**{
             f.name: (tuple(int(w) for w in text[f.name].split(","))
                      if isinstance(f.default, tuple) else type(f.default)(text[f.name]))
@@ -606,12 +603,10 @@ def train_toy_denoiser(
     """
     if not images:
         raise InvalidArgumentError("training set must be nonempty")
-    if not 0 < lr < np.inf:  # NaN fails too
-        raise InvalidArgumentError(f"lr must be a finite number > 0, got {lr}")
-    if batch_size < 1:
-        raise InvalidArgumentError(f"batch_size must be >= 1, got {batch_size}")
-    if epochs < 0:
-        raise InvalidArgumentError(f"epochs must be >= 0, got {epochs}")
+    POSITIVE.check("lr", lr)
+    COUNT.check("batch_size", batch_size)
+    integer_at_least(0).check("epochs", epochs)
+    SEED.check("seed", seed)
     arch = arch or UNetArch()
     weights = init_weights(arch, seed)
     if epochs == 0:

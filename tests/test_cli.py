@@ -372,6 +372,50 @@ def test_simulate_nan_phantom_shift_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "sim").exists()
 
 
+NEGATIVE_SEEDS = [
+    ["simulate", "--seed-mask", "-1"], ["simulate", "--seed-coils", "-1"],
+    ["simulate", "--seed-phantom", "-1"], ["simulate", "--seed-noise", "-1", "--noise-std", "0.01"],
+    ["ablate", "--seed-mask", "-1"], ["ablate", "--seed-coils", "-1"],
+    ["ablate", "--seed-phantom", "-1"], ["train", "--seed", "-1"],
+]
+SMALL_RUN = {
+    "simulate": ["--size", "16"],
+    "ablate": ["--size", "16", "--cases", "1", "--coils", "1", "--prior", "white", "--steps", "3"],
+    "train": ["--size", "16", "--images", "1", "--epochs", "1", "--widths", "2", "--bottleneck", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEEDS, ids=lambda argv: " ".join(argv))
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    command, *extra = argv
+    out = ["--out", str(tmp_path / "w.bt")] if command == "train" else ["--out-dir", str(tmp_path / "o")]
+    assert _run([command, *out, *SMALL_RUN[command], *extra]) == 2
+    assert "argument error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generated_phantom_and_arch_flags_keep_their_spellings_and_defaults():
+    from mricalib.phantom import PhantomSpec
+    from mricalib.unet import UNetArch
+
+    parse = build_parser().parse_args
+    assert _config_from_args(parse(["train", "--out", "w"]), UNetArch) == UNetArch(
+        widths=(8, 16), bottleneck=32, emb_steps=25, sigma_min=0.01, sigma_max=1.0, band_cutoff=0.25)
+    assert _config_from_args(parse(["simulate", "--out-dir", "o"]), PhantomSpec) == PhantomSpec()
+    ablate = parse(["ablate", "--out-dir", "o"])
+    spec = _config_from_args(ablate, PhantomSpec)
+    assert (spec.contrast_exponent, spec.bias_amplitude, spec.seed) == (1.5, 0.3, 1000)
+    assert (ablate.coils, ablate.seed_mask, ablate.seed_coils) == (2, 2000, 3000)
+
+    args = parse(["simulate", "--out-dir", "o", "--phantom-kind", "texture-mix", "--contrast", "2",
+                  "--seed-phantom", "5", "--kind", "Uniform1D"])
+    assert _config_from_args(args, PhantomSpec) == PhantomSpec(kind="texture-mix",
+                                                                contrast_exponent=2.0, seed=5)
+    assert args.mask_kind == "Uniform1D"
+    widths = _config_from_args(parse(["train", "--out", "w", "--widths", "4", "8"]), UNetArch).widths
+    assert widths == (4, 8)
+
+
 VALID_RECORD = {"t": 1, "sigma": 0.1, "delta": [1.0, 0.5], "gamma": 1.0, "loss_ssl": None,
                 "loss_reg": 0.2, "conv_metric": None, "cg_residual": 1e-3, "cg_iters": 4}
 

@@ -570,7 +570,7 @@ def test_dsm_loss_needs_draws():
 @pytest.mark.parametrize("bad", [
     {"emb_steps": 0}, {"sigma_min": 0.0}, {"sigma_min": 2.0}, {"sigma_min": float("nan")},
     {"sigma_max": float("inf")}, {"sigma_max": float("nan")}, {"widths": (4, 0)},
-    {"bottleneck": 0}, {"kernel": -1}, {"in_channels": 3},
+    {"bottleneck": 0}, {"widths": ()}, {"band_cutoff": 1.0},
 ], ids=lambda bad: repr(bad))
 def test_bad_arch_rejected(bad):
     with pytest.raises(InvalidArgumentError):
