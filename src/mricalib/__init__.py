@@ -1,6 +1,6 @@
 """Self-calibrating score-prior reconstruction for undersampled multi-coil MRI."""
 
-from .cg import CGConfig, CGResult, cg_solve, solve_p3
+from .cg import CGConfig, CGResult, cg_solve, solve_p3, solve_p3_family
 from .calibration import (
     DeltaOptState,
     MaskPartition,
@@ -41,6 +41,7 @@ from .regularization import (
     RegAdaptState,
     convergence_criterion,
     mc_divergence,
+    probe_weights,
     sure_loss,
     update_gamma,
 )

@@ -139,9 +139,18 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     y = read_tensor(args.kspace)
     mask = load_mask(args.mask)
     sens = read_tensor(args.sens)
+    if sens.ndim != 3 or sens.shape[1:] != mask.shape:
+        raise FormatError(f"sensitivities {args.sens}: shape {sens.shape} is not "
+                          f"(coils, {mask.shape[0]}, {mask.shape[1]})")
+    if y.shape != sens.shape:
+        raise FormatError(f"k-space {args.kspace}: shape {y.shape} is not {sens.shape}, "
+                          f"the sensitivities' shape")
     op = ForwardOperator(mask, sens)
     prior = _build_prior(args, op.shape)
     reference = read_tensor(args.reference) if args.reference else None
+    if reference is not None and reference.shape != mask.shape:
+        raise FormatError(f"reference {args.reference}: shape {reference.shape} is not "
+                          f"{mask.shape}")
 
     image, report = reconstruct(y, op, prior, cfg, reference=reference)
 

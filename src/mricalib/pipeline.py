@@ -19,8 +19,13 @@ calibration's one-step reconstruction x_hat = M⁻¹(gamma Aᴴy + denoise) on
 the reconstruction set, M = gamma AᴴA + I, which `ssl_loss` scores, and its
 adjoint solve M⁻¹(tau g), the reconstruction-set step, the main step and
 the risk probes.  Steps 2 to 4 denoise at one (sigma, delta), so a step
-denoises each of their inputs once and the solves share the result.  Each
-solve reads a measurement set through Aᴴy, computed once before the loop.
+denoises each of their inputs once and the solves share the result.  The
+main step and the risk probes solve against all measurements, so each of
+their images is solved once for all the step's weights, from one CG
+sequence: x for gamma and the two probe weights, x + eps mu for the
+probes.  With the walk stopped or off the family is gamma alone, and the
+solve is the single-weight one.  Each solve reads a measurement set
+through Aᴴy, computed once before the loop.
 
 The reconstruction-set-only iterate keeps the held-out k-space out of
 the calibration input, at one extra prior evaluation and CG solve a
@@ -53,7 +58,7 @@ from .calibration import (
     ssl_loss,
     update_delta,
 )
-from .cg import CGConfig, solve_p3
+from .cg import CGConfig, solve_p3, solve_p3_family
 from .errors import InvalidArgumentError, NumericError
 from .forward import (
     ForwardOperator,
@@ -67,7 +72,13 @@ from .metrics import psnr, ssim
 from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, identity_delta
 from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
-from .regularization import RegAdaptState, convergence_criterion, sure_loss, update_gamma
+from .regularization import (
+    RegAdaptState,
+    convergence_criterion,
+    probe_weights,
+    sure_loss,
+    update_gamma,
+)
 from .settings import COUNT, NON_NEGATIVE, POSITIVE, SEED, check_settings, one_of, setting
 
 SURE_EPS_SCALE = 1e-3  # risk probe size relative to max |x| of the iterate
@@ -209,17 +220,28 @@ def reconstruct(
                 denoised[key] = tweedie_denoise(v, sigma, prior, delta_state.delta)
             return denoised[key]
 
+        walk = cfg.enable_rpa and not reg_state.stopped
+        probes = probe_weights(gamma) if walk else ()
+        solved: dict[bytes, dict] = {}  # x: gamma and the probes; x + eps mu: the probes
+
+        def fidelity(v, weights):
+            key = v.tobytes()
+            if key not in solved:
+                family = solve_p3_family(denoise(v), x_zf, op, weights, cfg.cg)
+                solved[key] = dict(zip(weights, family))
+            return solved[key]
+
         if run_fpc:
             x_lambda_hat = solve_p3(denoise(x_lambda), x_zf_l, op_l, gamma, cfg.cg).x
-        p3 = solve_p3(denoise(x), x_zf, op, gamma, cfg.cg)
+        p3 = fidelity(x, (gamma, *probes))[gamma]
 
         loss_reg = None
         conv = None
-        if cfg.enable_rpa and not reg_state.stopped:
+        if walk:
             eps = max(SURE_EPS_SCALE * float(np.max(np.abs(x))), 1e-12)
 
             def composite(g, v):
-                return solve_p3(denoise(v), x_zf, op, g, cfg.cg).x
+                return fidelity(v, probes)[g].x
 
             def loss_fn(g):
                 return sure_loss(g, x, x_zf, composite, eps, (cfg.seed_mc, t))

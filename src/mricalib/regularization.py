@@ -26,6 +26,7 @@ from .errors import InvalidArgumentError, NumericError
 
 GAMMA_BOUNDS = (1e-4, 1e4)
 GAMMA_FD_STEP = 0.05  # central-difference probe size in log(gamma)
+_LOG_LO, _LOG_HI = np.log(GAMMA_BOUNDS[0]), np.log(GAMMA_BOUNDS[1])
 
 
 def _draw_direction(like: np.ndarray, seed) -> np.ndarray:
@@ -92,8 +93,8 @@ class RegAdaptState:
     v: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidArgumentError("gamma must be > 0")
+        if not 0 < self.gamma < np.inf:
+            raise InvalidArgumentError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
@@ -120,6 +121,18 @@ def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
     return step
 
 
+def probe_weights(gamma: float) -> tuple[float, float]:
+    """The two weights at which update_gamma evaluates the objective, in its order.
+
+    They are gamma * e^(+GAMMA_FD_STEP) and gamma * e^(-GAMMA_FD_STEP), each
+    clamped to GAMMA_BOUNDS, so at a bound one of them equals gamma.  A
+    caller that solves for every weight of a step ahead of the walk asks
+    here which weights the walk will request.
+    """
+    u, h = np.log(gamma), GAMMA_FD_STEP
+    return float(np.exp(min(u + h, _LOG_HI))), float(np.exp(max(u - h, _LOG_LO)))
+
+
 def update_gamma(
     state: RegAdaptState,
     loss_fn: Callable[[float], float],
@@ -127,14 +140,16 @@ def update_gamma(
 ) -> RegAdaptState:
     """One adaptive-moment step on log(gamma); a no-op once stopped.
 
-    step_size and the probe size GAMMA_FD_STEP are both measured in log(gamma).
+    step_size and the probe size GAMMA_FD_STEP are both measured in log(gamma);
+    loss_fn is evaluated at probe_weights(state.gamma), in that order.
     """
     if state.stopped:
         return state
     u, h = np.log(state.gamma), GAMMA_FD_STEP
-    lo, hi = np.log(GAMMA_BOUNDS[0]), np.log(GAMMA_BOUNDS[1])
-    f_plus = loss_fn(float(np.exp(min(u + h, hi))))
-    f_minus = loss_fn(float(np.exp(max(u - h, lo))))
+    lo, hi = _LOG_LO, _LOG_HI
+    g_plus, g_minus = probe_weights(state.gamma)
+    f_plus = loss_fn(g_plus)
+    f_minus = loss_fn(g_minus)
     # divide by the clamped width, in a form that is exactly 2h where neither probe is clamped
     grad = (f_plus - f_minus) / (2 * h - max(u + h - hi, 0.0) - max(lo - (u - h), 0.0))
     # short-horizon walk over a noisy 1-D objective: modest momentum

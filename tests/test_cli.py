@@ -536,6 +536,31 @@ def test_non_finite_input_is_named(tmp_path, capsys, sim16, name, label):
     assert f"numeric error: {label} contains non-finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, data", [
+    ("sens.bt", np.ones((16, 16), complex) / 2),
+    ("sens.bt", np.ones((2, 8, 8), complex) / 2),
+    ("kspace.bt", np.zeros((1, 16, 16), complex)),
+    ("kspace.bt", np.zeros((16, 16), complex)),
+    ("reference.bt", np.zeros((8, 16))),
+], ids=["rank-2 sens", "8x8 sens", "1-coil kspace", "rank-2 kspace", "8x16 reference"])
+def test_misshapen_input_tensor_exits_4(tmp_path, capsys, name, data):
+    """Tensors that disagree with the 16 x 16 mask or with the 2-coil maps are format errors
+    naming the file, and nothing is written."""
+    sim = tmp_path / "sim"
+    assert _run(["simulate", "--out-dir", str(sim), "--size", "16", "--coils", "2"]) == 0
+    write_tensor(sim / name, data)
+    out = tmp_path / "o"
+    code = _run([
+        "reconstruct", "--kspace", str(sim / "kspace.bt"), "--mask", str(sim / "mask.bt"),
+        "--sens", str(sim / "sens.bt"), "--reference", str(sim / "reference.bt"),
+        "--out-dir", str(out), "--steps", "3",
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "i/o error: " in err and name in err
+    assert not out.exists()
+
+
 def test_oversized_sensitivities_exit_3(tmp_path, capsys, sim16):
     """Maps scaled x10 break sum_c |S_c|^2 = 1, which the operator assumes."""
     write_tensor(tmp_path / "sens.bt", 10 * read_tensor(sim16 / "sens.bt"))

@@ -22,6 +22,7 @@ from mricalib import (
     reconstruct,
     run_ablation,
     shifted_cases,
+    solve_p3,
     synth_coil_maps,
     trace_columns,
     white_prior,
@@ -390,6 +391,57 @@ def test_one_adjoint_image_per_measurement_set(monkeypatch, enable_fpc, adjoints
     monkeypatch.setattr(pipeline, "apply_adjoint", counting_apply_adjoint)
     reconstruct(y, op, UNetScorePrior(weights), cfg)
     assert calls == [y.shape] * adjoints
+
+
+def _per_weight_solves(x_dot, x_adj, op, gammas, cfg):
+    """The loop as it was before the family solve: one solve_p3 per (weight, image)."""
+    return [solve_p3(x_dot, x_adj, op, g, cfg) for g in gammas]
+
+
+def _gaussian_prior_problem(n=32, coils=4, seed=30):
+    train = [make_phantom(PhantomSpec(size=n, seed=seed + s, kind=k))
+             for s in range(4) for k in ("ellipse-phantom", "piecewise-smooth")]
+    mean = np.mean(train, axis=0)
+    spectrum = np.mean([np.abs(fft2c(p - mean)) ** 2 for p in train], axis=0) + 1e-4
+    phantom = make_phantom(PhantomSpec(size=n, seed=seed + 10))
+    mask = generate_mask("Gaussian1D", n, n, 4, 0.08, seed=seed + 11)
+    op = ForwardOperator(mask, synth_coil_maps(coils, n, n, seed=seed + 12))
+    y = add_noise(apply_forward(phantom, op), mask, 0.01, seed=seed + 13)
+    return GaussianPrior(mean, spectrum), phantom, op, y
+
+
+@pytest.mark.parametrize("renoise_mode", ["deterministic", "stochastic"])
+def test_family_loop_equals_the_per_weight_loop(monkeypatch, renoise_mode):
+    """Each image of a step is solved once for all the step's weights.  Against one solve_p3
+    per (weight, image), with the float64 circulant-Gaussian prior: the walk stops at the same
+    step, every step takes the same CG iterations, and gamma and the image agree to 1e-10."""
+    prior, phantom, op, y = _gaussian_prior_problem()
+    cfg = ReconConfig(steps=25, enable_fpc=False, renoise_mode=renoise_mode)
+    x_new, r_new = reconstruct(y, op, prior, cfg, reference=phantom)
+    monkeypatch.setattr(pipeline, "solve_p3_family", _per_weight_solves)
+    x_old, r_old = reconstruct(y, op, prior, cfg, reference=phantom)
+    assert r_old.stopped_at is not None and r_new.stopped_at == r_old.stopped_at
+    assert [r.cg_iters for r in r_new.records] == [r.cg_iters for r in r_old.records]
+    for a, b in zip(r_new.records, r_old.records):
+        assert a.gamma == pytest.approx(b.gamma, rel=1e-10, abs=0)
+    assert np.linalg.norm(x_new - x_old) <= 1e-10 * np.linalg.norm(x_old)
+
+
+def test_family_loop_with_the_walk_off_is_bit_identical(monkeypatch):
+    prior, phantom, op, y = _gaussian_prior_problem(seed=40)
+    cfg = ReconConfig(steps=12, enable_fpc=False, enable_rpa=False, gamma_init=3.0)
+    x_new, r_new = reconstruct(y, op, prior, cfg, reference=phantom)
+    monkeypatch.setattr(pipeline, "solve_p3_family", _per_weight_solves)
+    x_old, r_old = reconstruct(y, op, prior, cfg, reference=phantom)
+    assert x_new.tobytes() == x_old.tobytes()
+    for a, b in zip(r_new.records, r_old.records):
+        for f in dataclasses.fields(a):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, np.ndarray):
+                assert va.tobytes() == vb.tobytes(), f.name
+            else:
+                assert va == vb, f.name
+    assert (r_new.psnr, r_new.ssim) == (r_old.psnr, r_old.ssim)
 
 
 def test_early_stop_keeps_full_record_count():

@@ -5,6 +5,7 @@ from mricalib import (
     RegAdaptState,
     convergence_criterion,
     mc_divergence,
+    probe_weights,
     sure_loss,
     update_gamma,
 )
@@ -127,6 +128,27 @@ def test_gamma_descends_log_quadratic():
     for _ in range(20):
         state = update_gamma(state, lambda g: np.log(g) ** 2, step_size=0.1)
     assert abs(np.log(state.gamma)) < 0.2
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_bad_initial_weight_rejected(gamma):
+    with pytest.raises(InvalidArgumentError, match="gamma"):
+        RegAdaptState(gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma", [2.0, GAMMA_BOUNDS[0], GAMMA_BOUNDS[1], 3e4])
+def test_walk_asks_for_the_probe_weights(gamma):
+    """update_gamma evaluates the objective at probe_weights(gamma), in that order; a weight
+    above the bounds starts the walk, and both its probes are then clamped differently."""
+    asked = []
+
+    def loss(g):
+        asked.append(g)
+        return float(np.log(g))
+
+    probes = probe_weights(gamma)
+    update_gamma(RegAdaptState(gamma=gamma), loss, step_size=0.1)
+    assert tuple(asked) == probes
 
 
 def test_stopped_state_is_frozen():
