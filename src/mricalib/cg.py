@@ -67,7 +67,13 @@ def _shifted_cg(
     shift.  With no shifts this is plain CG, operation for operation.
     """
     rhs = np.asarray(rhs)
-    b_norms = [float(np.linalg.norm(rhs))] + [float(np.linalg.norm(rhs + s * x0)) for s in shifts]
+    b_norms = [float(np.linalg.norm(rhs))]
+    for s in shifts:
+        with np.errstate(over="ignore"):
+            b_norm = float(np.linalg.norm(rhs + s * x0))
+        if np.isinf(b_norm) and s > 1:  # a huge shift's sum may pass the float range: scale it
+            b_norm = s * float(np.linalg.norm(rhs / s + x0))
+        b_norms.append(b_norm)
     if not np.all(np.isfinite(b_norms)):
         raise NumericError("right-hand side contains non-finite values")
     results = [CGResult(np.zeros_like(rhs), 0.0, 0) if b == 0.0 else None for b in b_norms]

@@ -4,11 +4,13 @@ Each reverse step runs, in order:
 
 1. the calibration update (when enabled): one exact-gradient step from the
    reconstruction-set-only iterate described below;
-2. that iterate's own step (when calibration is enabled): the denoise
-   step with the updated calibration vector and a data-fidelity solve
-   against the reconstruction-set measurements only;
-3. the main iterate's denoise step and data-fidelity solve against all
-   measurements at the current weight gamma;
+2. that iterate's own step (when calibration is enabled): the one-step
+   reconstruction the calibration objective scored, that is the denoise
+   step at the step's incoming calibration vector and a data-fidelity
+   solve against the reconstruction-set measurements only;
+3. the main iterate's denoise step with the updated calibration vector and
+   its data-fidelity solve against all measurements at the current weight
+   gamma;
 4. the regularization-weight update with its sliding-window stop (when
    enabled);
 5. the transition of both iterates to the next noise level, with the
@@ -16,21 +18,24 @@ Each reverse step runs, in order:
 
 `reconstruct` issues every denoise and data-fidelity solve of a step: the
 calibration's one-step reconstruction x_hat = M⁻¹(gamma Aᴴy + denoise) on
-the reconstruction set, M = gamma AᴴA + I, which `ssl_loss` scores, and its
-adjoint solve M⁻¹(tau g), the reconstruction-set step, the main step and
-the risk probes.  Steps 2 to 4 denoise at one (sigma, delta), so a step
-denoises each of their inputs once and the solves share the result.  The
-main step and the risk probes solve against all measurements, so each of
-their images is solved once for all the step's weights, from one CG
-sequence: x for gamma and the two probe weights, x + eps mu for the
-probes.  With the walk stopped or off the family is gamma alone, and the
-solve is the single-weight one.  Each solve reads a measurement set
-through Aᴴy, computed once before the loop.
+the reconstruction set, M = gamma AᴴA + I, which `ssl_loss` scores and
+which is also the reconstruction-set step, its adjoint solve M⁻¹(tau g),
+the main step and the risk probes.  So a calibrated step solves on the
+reconstruction set twice and evaluates the prior there once, and the
+calibration gradient reuses that evaluation's decoder walk.  Steps 3 and 4
+denoise at one (sigma, delta), so a step denoises each of their inputs
+once and the solves share the result.  The main step and the risk probes
+solve against all measurements, so each of their images is solved once for
+all the step's weights, from one CG sequence: x for gamma and the two
+probe weights, x + eps mu for the probes.  With the walk stopped or off
+the family is gamma alone, and the solve is the single-weight one.  Each
+solve reads a measurement set through Aᴴy, computed once before the loop.
 
 The reconstruction-set-only iterate keeps the held-out k-space out of
-the calibration input, at one extra prior evaluation and CG solve a
-step; with calibration off it is never advanced and the main iterate's
-path is unchanged.
+the calibration input at no extra prior evaluation or solve: its step is
+the one the objective scored, at the calibration vector the step came in
+with, one update behind the main iterate's.  With calibration off it is
+never advanced and the main iterate's path is unchanged.
 
 For a circulant-Gaussian prior the per-level fixed point of denoise + solve
 obeys  (gamma AᴴA + sigma^2 (Sigma + sigma^2 I)^(-1)) x = gamma Aᴴy,
@@ -201,18 +206,22 @@ def reconstruct(
 
         loss_ssl = None
         if run_fpc:
+            scored: dict[bytes, np.ndarray] = {}  # x_hat by the vector it was built at
+
             def objective(d):
-                x_hat = solve_p3(tweedie_denoise(x_lambda, sigma, prior, d), x_zf_l, op_l, gamma,
-                                 cfg.cg).x
+                x_hat = scored[d.tobytes()] = solve_p3(
+                    tweedie_denoise(x_lambda, sigma, prior, d), x_zf_l, op_l, gamma, cfg.cg).x
                 loss, g = ssl_loss(x_hat, y_g, op_g)
                 q = solve_p3(cfg.tau_ssl * g, np.zeros_like(g), op_l, gamma, cfg.cg).x
                 return (cfg.tau_ssl * loss + delta_penalty(d),
                         sigma**2 * prior.delta_vjp(x_lambda, sigma, d, q) + (d - 1))
 
+            delta_in = delta_state.delta
             delta_state = update_delta(delta_state, objective, cfg.delta_step)
             loss_ssl = delta_state.loss_history[-1]
+            x_lambda_hat = scored[delta_in.tobytes()]  # the step the objective scored
 
-        denoised: dict[bytes, np.ndarray] = {}  # x_lambda, x, x + eps mu; sigma, delta fixed
+        denoised: dict[bytes, np.ndarray] = {}  # x, x + eps mu; sigma, delta fixed
 
         def denoise(v):
             key = v.tobytes()
@@ -231,8 +240,6 @@ def reconstruct(
                 solved[key] = dict(zip(weights, family))
             return solved[key]
 
-        if run_fpc:
-            x_lambda_hat = solve_p3(denoise(x_lambda), x_zf_l, op_l, gamma, cfg.cg).x
         p3 = fidelity(x, (gamma, *probes))[gamma]
 
         loss_reg = None

@@ -18,8 +18,10 @@ A calibration vector other than all ones modulates each skip before the
 decoder joins it; the decoder walk (`_decode`, `_decode_bwd`) is the one
 training runs, and its skip gradients give the calibration gradient.  The
 all-ones vector is the identity and runs the uncalibrated network itself,
-bit for bit.  Each conv is one GEMM per sample whose tap outputs are added
-shifted, bit-identical to one GEMM per tap.
+bit for bit, in evaluations and in the calibration gradient alike.  Each
+conv is one GEMM per sample whose tap outputs are added shifted,
+bit-identical to one GEMM per tap.  LOW runs on the half spectrum of a real
+FFT.
 
 Everything is plain numpy.  Inference (`UNetScorePrior`, `unet_forward`)
 runs in float32 on weights cast once, within 1e-5 relative of the float64
@@ -27,7 +29,8 @@ walk; training, `dsm_loss` and the weight files stay float64.  The layer
 primitives compute in the dtype of their input.  Training is denoising
 score matching with hand-derived convolution gradients and plain SGD; the
 calibration gradient (`UNetScorePrior.delta_vjp`) runs the same backward
-without the weight halves.
+without the weight halves, from the decoder walk the evaluation at the same
+(input, noise level, vector) left behind, and stops at the skips.
 """
 
 from __future__ import annotations
@@ -212,12 +215,16 @@ def _up2_bwd(dy):
 
 
 def low_band(feat: np.ndarray, cutoff: float) -> np.ndarray:
-    """Project real feature maps onto DFT radii <= cutoff * Nyquist (last two axes)."""
+    """Project real feature maps onto DFT radii <= cutoff * Nyquist (last two axes).
+
+    The disc is symmetric under f -> -f, so the half spectrum of a real
+    transform carries the whole projection; the result keeps the input dtype.
+    """
     H, W = feat.shape[-2:]
     fy = np.fft.fftfreq(H) * 2.0  # Nyquist normalized to |1|
-    fx = np.fft.fftfreq(W) * 2.0
+    fx = np.fft.rfftfreq(W) * 2.0
     keep = (fy[:, None] ** 2 + fx[None, :] ** 2) <= cutoff**2
-    return np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
+    return np.fft.irfft2(np.fft.rfft2(feat, axes=(-2, -1)) * keep, s=(H, W), axes=(-2, -1))
 
 
 def _mix_bands(feat: np.ndarray, low: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -265,16 +272,17 @@ def _block(name: str, h: np.ndarray, weights: UNetWeights, cache: dict | None = 
     return h
 
 
-def _block_bwd(name: str, dh: np.ndarray, cache: dict, grads: dict | None = None):
+def _block_bwd(name: str, dh: np.ndarray, cache: dict, grads: dict | None = None,
+               inputs: slice = slice(None)):
     """Backward of `_block`, weight gradients into `grads` if given; returns the gradients at
-    its input and at c1's output."""
+    its `inputs` channels and at c1's output."""
     c1, r1, c2, r2 = cache[name]
     d_c2 = dh * r2
     d_c1 = _conv2d_bwd_input(d_c2, c2[1]) * r1
     if grads is not None:
         grads[f"{name}.c2.w"], grads[f"{name}.c2.b"] = _conv2d_bwd_weights(d_c2, c2)
         grads[f"{name}.c1.w"], grads[f"{name}.c1.b"] = _conv2d_bwd_weights(d_c1, c1)
-    return _conv2d_bwd_input(d_c1, c1[1]), d_c1
+    return _conv2d_bwd_input(d_c1, c1[1][:, inputs]), d_c1
 
 
 def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict | None = None):
@@ -310,15 +318,21 @@ def _decode(h: np.ndarray, skips: list[np.ndarray], weights: UNetWeights,
 
 def _decode_bwd(dout: np.ndarray, cache: dict, weights: UNetWeights, grads: dict | None = None):
     """Backward of `_decode`, weight gradients into `grads` if given; returns the gradients at
-    the bottleneck output and at each skip."""
+    the bottleneck output and at each skip.
+
+    Without `grads` nothing reads the bottleneck's gradient: the deepest level forms its skip
+    channels' gradient only, and the first return value is None.
+    """
     dh = _conv2d_bwd_input(dout, weights.params["head.w"])
     if grads is not None:
         grads["head.w"], grads["head.b"] = _conv2d_bwd_weights(dout, cache["head"])
     dskips = []
     for i, skip_ch in enumerate(weights.arch.widths):
-        dh, _ = _block_bwd(f"dec{i}", dh, cache, grads)
+        skip_only = grads is None and i == weights.arch.layer_count - 1
+        dh, _ = _block_bwd(f"dec{i}", dh, cache, grads,
+                           slice(-skip_ch, None) if skip_only else slice(None))
         dskips.append(dh[:, -skip_ch:])  # the joined input is [up, skip]
-        dh = _up2_bwd(dh[:, :-skip_ch])
+        dh = None if skip_only else _up2_bwd(dh[:, :-skip_ch])
     return dh, dskips
 
 
@@ -365,24 +379,39 @@ def unet_forward(
 
 @dataclass
 class _EncoderState:
-    """What one input shares across calibration vectors: encoder outputs and skip LOW bands."""
+    """What one input shares across calibration vectors: encoder outputs, skip LOW bands and
+    the last decoder walk."""
 
     key: tuple  # (input shape, input bytes, noise index)
     h: np.ndarray  # bottleneck output
     skips: list[np.ndarray]
     lows: list[np.ndarray] | None = None  # each skip's LOW band, made on first calibrated use
+    walk: tuple | None = None  # (vector bytes or None, decoder cache, head output)
 
-    def decoder_skips(self, delta, cutoff: float) -> list[np.ndarray]:
-        """The skips the decoder joins: raw for delta None, else each modulated by its
-        level's (alpha, beta)."""
-        if delta is None:
-            return self.skips
+    def low_bands(self, cutoff: float) -> list[np.ndarray]:
         if self.lows is None:
             self.lows = [low_band(s, cutoff) for s in self.skips]
-        # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
-        # Python floats, since an np.float64 scalar promotes float32 to float64
-        return [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
-                for i, (s, low) in enumerate(zip(self.skips, self.lows))]
+        return self.lows
+
+    def decode(self, delta, weights: UNetWeights) -> tuple[dict, np.ndarray]:
+        """(decoder cache, head output) of the walk on the raw skips for delta None or all
+        ones, else on each skip modulated by its level's (alpha, beta); the last walk is
+        reused."""
+        if delta is not None and np.all(delta == 1.0):
+            delta = None  # the identity is the uncalibrated walk
+        walk_key = None if delta is None else delta.tobytes()
+        if self.walk is None or self.walk[0] != walk_key:
+            self.walk = None  # the last walk's activations go before the next one's come
+            skips = self.skips
+            if delta is not None:
+                lows = self.low_bands(weights.arch.band_cutoff)
+                # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l],
+                # delta[2l+1]; Python floats, since an np.float64 scalar promotes float32
+                skips = [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
+                         for i, (s, low) in enumerate(zip(skips, lows))]
+            cache: dict = {}
+            self.walk = (walk_key, cache, _decode(self.h, skips, weights, cache))
+        return self.walk[1:]
 
 
 class UNetScorePrior(ScorePrior):
@@ -393,25 +422,29 @@ class UNetScorePrior(ScorePrior):
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
     Evaluations and `delta_vjp` reuse, for the most recent (input bytes,
-    noise index), the encoder and bottleneck outputs and each skip's LOW
-    band, so a step's calibration evaluation, its gradient and the denoise
-    of the same iterate share one encoder pass.  Reuse is bit for bit: every
-    output equals a fresh `unet_forward`, which runs the same walk on a
-    fresh prior.  The prior keeps no outputs: `pipeline.reconstruct`
-    denoises each input once per step and shares the result.
+    noise index), the encoder and bottleneck outputs, each skip's LOW band
+    and the last decoder walk (its backward cache and head output, keyed by
+    the calibration vector).  So a step's calibration evaluation and its
+    gradient share one encoder pass and one decoder walk, and `delta_vjp`
+    after `evaluate` at the same (x, sigma, delta) runs the backward only.
+    Reuse is bit for bit: every output equals a fresh `unet_forward`, and
+    every gradient a fresh prior's `delta_vjp`, which run the same walks on
+    a fresh prior.  `pipeline.reconstruct` denoises each input once per step
+    and shares the result.
 
     A calibrated decoder joins the modulated skips where the uncalibrated
     one joins the raw skips; the decoder walk is the same.  The all-ones
-    vector runs as None, so the identity is the uncalibrated network bit
-    for bit and an uncalibrated run computes no LOW band.
+    vector runs as None in `evaluate` and `delta_vjp` alike, so the identity
+    is the uncalibrated network bit for bit and an uncalibrated evaluation
+    computes no LOW band.
 
     The network runs in float32 on a copy of the weights cast once here;
     the output goes back to complex128 before it is returned, and
     lies within 1e-5 relative of the float64 walk.  Later changes to the
     caller's `weights.params` do not reach the prior, so build a new one.
 
-    The memory this holds is bounded by one set of encoder activations and
-    one LOW band per skip.
+    The memory this holds is bounded by one set of encoder activations, one
+    LOW band per skip and one decoder walk's activations (its backward cache).
     """
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
@@ -445,9 +478,10 @@ class UNetScorePrior(ScorePrior):
     def delta_vjp(self, x, sigma, delta, v):
         """Re<v, d evaluate(x, sigma, delta) / d delta_j> for each calibration entry j.
 
-        Backpropagates through the decoder on the modulated skips (all ones
-        included) to each skip's gradient d_l: d alpha_l = <d_l, LOW_l>,
-        d beta_l = <d_l, F_l - LOW_l>.  Follows `evaluate`'s sigma contract.
+        Backpropagates through `evaluate`'s decoder walk (raw skips for all
+        ones, modulated skips otherwise) to each skip's gradient d_l:
+        d alpha_l = <d_l, LOW_l>, d beta_l = <d_l, F_l - LOW_l>.  Follows
+        `evaluate`'s sigma contract.
         """
         x = np.asarray(x, dtype=np.complex128)
         if not np.isfinite(sigma):
@@ -457,14 +491,14 @@ class UNetScorePrior(ScorePrior):
         W, L = self._weights, self.layer_count
         delta = validate_delta(delta, L)
         enc = self._encoder_state(x, int(np.argmin(np.abs(self._sigmas - sigma))))
-        cache: dict = {}
-        _decode(enc.h, enc.decoder_skips(delta, W.arch.band_cutoff), W, cache)
+        cache, _ = enc.decode(delta, W)
         v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
         _, dskips = _decode_bwd(v2, cache, W)
+        lows = enc.low_bands(W.arch.band_cutoff)
         grad = np.empty(2 * L)
-        for i, (d_skip, skip, low) in enumerate(zip(dskips, enc.skips, enc.lows)):
-            grad[2 * i] = np.sum(d_skip * low, dtype=np.float64)
-            grad[2 * i + 1] = np.sum(d_skip * (skip - low), dtype=np.float64)
+        for i in range(L):
+            grad[2 * i] = np.sum(dskips[i] * lows[i], dtype=np.float64)
+            grad[2 * i + 1] = np.sum(dskips[i] * (enc.skips[i] - lows[i]), dtype=np.float64)
         return -grad / sigma
 
     def _encoder_state(self, x: np.ndarray, idx: int) -> _EncoderState:
@@ -473,6 +507,7 @@ class UNetScorePrior(ScorePrior):
             raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
         in_key = (x.shape, x.tobytes(), idx)
         if self._encoded is None or self._encoded.key != in_key:
+            self._encoded = None  # the old state's activations go before the new one's come
             x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
             t_idx = np.array([idx], dtype=np.int64)
             _check_input(x2.shape, t_idx, self._weights.arch)
@@ -487,10 +522,7 @@ class UNetScorePrior(ScorePrior):
         W = self._weights
         if delta is not None:
             delta = validate_delta(delta, W.arch.layer_count)
-            if np.all(delta == 1.0):
-                delta = None
-        enc = self._encoder_state(x, idx)
-        head = _decode(enc.h, enc.decoder_skips(delta, W.arch.band_cutoff), W)
+        _, head = self._encoder_state(x, idx).decode(delta, W)
         return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
 
 

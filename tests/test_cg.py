@@ -371,6 +371,20 @@ def test_family_at_a_clamped_probe(bound):
         assert np.linalg.norm(member.x - alone.x) <= 1e-12 * np.linalg.norm(alone.x)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_family_at_weights_far_apart(kind):
+    """At weights 1 and 1e-300 the follower's shift is 1e300, and the norm of its right-hand
+    side would pass the float range (an overflow warning is an error here); each member is
+    what solve_p3 returns at its weight alone."""
+    op, x_dot, x_adj = _family_case(kind, n=16)
+    cfg = CGConfig(max_iters=100, tol=1e-8)
+    weights = (1.0, 1e-300)
+    for gamma, member in zip(weights, solve_p3_family(x_dot, x_adj, op, weights, cfg)):
+        alone = solve_p3(x_dot, x_adj, op, gamma, cfg)
+        assert np.array_equal(member.x, alone.x) and member.iters == alone.iters, gamma
+        assert member.residual == pytest.approx(alone.residual, rel=1e-12, abs=1e-290), gamma
+
+
 def test_shifted_systems_match_dense_solves():
     """(Op + s I) x = rhs + s x0 for each shift, real arithmetic, against np.linalg.solve."""
     rng = np.random.default_rng(12)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -348,14 +350,75 @@ def test_each_step_denoises_each_input_once(enable_fpc):
         assert rec.loss_reg is not None  # the risk walk ran in this step
         step = [call[1:] for call in prior.calls if call[0] == rec.sigma]
         # the main iterate and the risk probe point; when calibrating also x_lambda at the
-        # incoming calibration vector (the objective) and, once it is no longer x (the first
-        # step), at the updated one (its own step)
-        expected = 2 + (enable_fpc and (1 if rec.t == cfg.steps else 2))
+        # incoming calibration vector (the objective, whose one-step reconstruction is also
+        # x_lambda's own step)
+        expected = 2 + enable_fpc
         assert len(step) == len(set(step)) == expected
 
 
+def test_calibrated_step_solves_twice_on_the_reconstruction_set(monkeypatch):
+    """A calibrated step solves on op_Lambda twice, the objective's forward solve and its
+    adjoint solve, and never through the family solve, which is for all measurements."""
+    phantom, op, y = _problem(seed=25)
+    cfg = ReconConfig(**FAST, enable_fpc=True, enable_rpa=True)
+    lambda_bits = partition_mask(op.mask, pipeline.HOLDOUT_FRACTION,
+                                 cfg.seed_partition).lambda_bits
+    solves, families = [], []
+    real_solve_p3, real_family = pipeline.solve_p3, pipeline.solve_p3_family
+
+    def counting_solve_p3(x_dot, x_adj, op_, gamma, cg):
+        solves.append(np.array_equal(op_.mask.bits, lambda_bits))
+        return real_solve_p3(x_dot, x_adj, op_, gamma, cg)
+
+    def counting_family(x_dot, x_adj, op_, gammas, cg):
+        families.append(op_ is op)
+        return real_family(x_dot, x_adj, op_, gammas, cg)
+
+    monkeypatch.setattr(pipeline, "solve_p3", counting_solve_p3)
+    monkeypatch.setattr(pipeline, "solve_p3_family", counting_family)
+    _, report = reconstruct(y, op, _TwoBandPrior(), cfg)
+    assert solves == [True] * 2 * cfg.steps
+    walked = sum(rec.loss_reg is not None for rec in report.records)
+    assert walked > 0 and families == [True] * (cfg.steps + walked)  # x, and x + eps mu
+
+
+def test_lambda_iterate_takes_the_scored_step(monkeypatch):
+    """x_lambda's next value is renoise of the x_hat that ssl_loss scored, and that next value
+    is what the next step's objective differentiates at."""
+    phantom, op, y = _problem(seed=26)
+    cfg = ReconConfig(**FAST, enable_fpc=True, enable_rpa=True, renoise_mode="stochastic")
+    scored, renoised, differentiated = [], [], []
+    real_ssl_loss, real_renoise = pipeline.ssl_loss, pipeline.renoise
+    prior = _TwoBandPrior()
+
+    def ssl_spy(x_hat, *args):
+        scored.append(np.array(x_hat, copy=True))
+        return real_ssl_loss(x_hat, *args)
+
+    def renoise_spy(x_hat, *args, **kwargs):
+        out = real_renoise(x_hat, *args, **kwargs)
+        renoised.append((np.array(x_hat, copy=True), out))
+        return out
+
+    def vjp_spy(x, *args):
+        differentiated.append(np.array(x, copy=True))
+        return _TwoBandPrior.delta_vjp(prior, x, *args)
+
+    monkeypatch.setattr(pipeline, "ssl_loss", ssl_spy)
+    monkeypatch.setattr(pipeline, "renoise", renoise_spy)
+    prior.delta_vjp = vjp_spy
+    _, report = reconstruct(y, op, prior, cfg)
+    assert any(not np.all(rec.delta == 1.0) for rec in report.records)
+    assert len(scored) == len(differentiated) == cfg.steps and len(renoised) == 2 * cfg.steps
+    lambda_steps = renoised[::2]  # each step renoises x_lambda first, then x
+    for step in range(cfg.steps):
+        assert np.array_equal(lambda_steps[step][0], scored[step])
+        if step + 1 < cfg.steps:
+            assert np.array_equal(differentiated[step + 1], lambda_steps[step][1])
+
+
 def test_calibration_gradient_shares_the_encoder_pass(monkeypatch):
-    """The calibration's evaluation, its gradient and the denoise of x_lambda share one encoder
+    """The calibration's evaluation (x_lambda's denoise) and its gradient share one encoder
     pass: 3 encodes a step while the risk walk runs (x_lambda, x, x + eps mu), 2 after it stops,
     and one fewer in the first step, where x_lambda is x."""
     phantom, op, y = _problem(seed=23)
@@ -442,6 +505,39 @@ def test_family_loop_with_the_walk_off_is_bit_identical(monkeypatch):
             else:
                 assert va == vb, f.name
     assert (r_new.psnr, r_new.ssim) == (r_old.psnr, r_old.ssim)
+
+
+def _run_digest(x, report):
+    """SHA-256 prefix of an image and its report, wall clock excluded, at full precision."""
+    record = dataclasses.asdict(report)
+    del record["wall_clock"]
+    h = hashlib.sha256(x.tobytes())
+    h.update(json.dumps(record, default=np.ndarray.tolist).encode())
+    return h.hexdigest()[:16]
+
+
+# _run_digest of the two calibration-off runs in test_calibration_off_runs_are_pinned,
+# recorded before the reconstruction-set iterate took the objective's step; OpenBLAS kernels
+# sum in different orders, so each kernel family has its own row.
+CALIBRATION_OFF_DIGESTS = {
+    "SkylakeX": ("53dc11e5a8904ed4", "8b6d532f89ea093f"),
+    "Haswell, Zen": ("26d1e47b921cb291", "b8f5d42ade6b56dd"),
+    "Sandybridge": ("c9bd369c41913974", "9f68b5416fffab8a"),
+}
+
+
+def test_calibration_off_runs_are_pinned():
+    """With calibration off no step runs calibration code: a U-Net run and a circulant-Gaussian
+    run, both with the weight walk on, are bit-identical to the recorded digests."""
+    phantom, op, y = _problem(seed=24)
+    w = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=9)
+    w.params["emb"] = np.random.default_rng(25).standard_normal(w.params["emb"].shape)
+    cfg = ReconConfig(**FAST, enable_fpc=False, renoise_mode="stochastic")
+    unet_run = _run_digest(*reconstruct(y, op, UNetScorePrior(w), cfg, reference=phantom))
+    prior, phantom, op, y = _gaussian_prior_problem(seed=41)
+    cfg = ReconConfig(steps=12, enable_fpc=False)
+    gaussian_run = _run_digest(*reconstruct(y, op, prior, cfg, reference=phantom))
+    assert (unet_run, gaussian_run) in CALIBRATION_OFF_DIGESTS.values()
 
 
 def test_early_stop_keeps_full_record_count():

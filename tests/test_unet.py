@@ -67,6 +67,21 @@ def test_low_band_is_projection():
     assert np.max(np.abs(again - low)) <= 1e-12 * max(np.max(np.abs(low)), 1.0)
 
 
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("shape", [(2, 3, 16, 16), (1, 8, 64, 64), (3, 11, 9)])
+def test_low_band_is_the_complex_fft_projection(dtype, rtol, shape):
+    """The half-spectrum LOW equals the complex-FFT projection and keeps the input dtype,
+    on even and odd sides."""
+    feat = np.random.default_rng(30).standard_normal(shape).astype(dtype)
+    H, W = shape[-2:]
+    fy, fx = np.fft.fftfreq(H) * 2.0, np.fft.fftfreq(W) * 2.0
+    keep = (fy[:, None] ** 2 + fx[None, :] ** 2) <= 0.25**2
+    want = np.fft.ifft2(np.fft.fft2(feat, axes=(-2, -1)) * keep, axes=(-2, -1)).real
+    got = low_band(feat, 0.25)
+    assert got.dtype == dtype and got.shape == feat.shape
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
 def test_zeroing_low_band_kills_low_energy():
     rng = np.random.default_rng(2)
     feat = rng.standard_normal((1, 1, 32, 32))
@@ -429,6 +444,34 @@ def test_delta_vjp_matches_finite_differences_of_float64_walk(arch, delta):
                        for e in np.eye(delta.size)]) / (2 * h)
         got = prior.delta_vjp(x, sigma, delta, v)
         assert np.max(np.abs(got - fd)) <= 1e-4 * np.max(np.abs(fd)), (idx, got, fd)
+
+
+@pytest.mark.parametrize("delta", [np.ones(4), np.array([1.1, 0.8, 0.9, 1.3])],
+                         ids=["identity", "perturbed"])
+def test_delta_vjp_reuses_the_evaluation_walk(monkeypatch, delta):
+    """After evaluate at the same (x, sigma, delta), delta_vjp runs no decoder walk and equals
+    a fresh prior's delta_vjp bit for bit."""
+    rng = np.random.default_rng(31)
+    w = init_weights(C8, seed=32)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    sigma = float(C8.sigma_ladder()[6])
+    x, v = _rand_image(rng, 64), _rand_image(rng, 64)
+    fresh = UNetScorePrior(w).delta_vjp(x, sigma, delta, v)
+    prior = UNetScorePrior(w)
+    prior.evaluate(x, sigma, delta)
+    walks = []
+    real_decode = unet._decode
+
+    def counting_decode(*args, **kwargs):
+        walks.append(1)
+        return real_decode(*args, **kwargs)
+
+    monkeypatch.setattr(unet, "_decode", counting_decode)
+    got = prior.delta_vjp(x, sigma, delta, v)
+    assert not walks
+    assert got.tobytes() == fresh.tobytes()
+    prior.delta_vjp(x, sigma, delta + 0.01, v)  # another vector walks again
+    assert len(walks) == 1
 
 
 # ---------------------------------------------------------------------------
