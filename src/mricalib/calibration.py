@@ -13,14 +13,13 @@ solve included.  Being relative, the held-out term stays O(1) at every
 noise level, so the quadratic pull toward the all-ones vector keeps the
 calibrated network anchored to the pretrained one throughout the ladder.
 
-The objective's exact gradient feeds one adaptive-moment step per
-reverse step, always clamped to [0, 2].
+The objective's value and exact gradient, both computed by the caller,
+feed one adaptive-moment step per reverse step, always clamped to [0, 2].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +101,6 @@ def delta_penalty(delta: np.ndarray) -> float:
 class DeltaOptState:
     delta: np.ndarray
     iteration: int = 0
-    loss_history: list[float] = field(default_factory=list)
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
@@ -114,12 +112,9 @@ class DeltaOptState:
             self.v = np.zeros_like(self.delta)
 
 
-def update_delta(
-    state: DeltaOptState,
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    step_size: float,
-) -> DeltaOptState:
-    """One adaptive-moment step from the objective's (value, gradient); mutates and returns it."""
-    value, grad = objective(state.delta)
+def update_delta(state: DeltaOptState, value: float, grad: np.ndarray,
+                 step_size: float) -> DeltaOptState:
+    """One adaptive-moment step from the objective's value and gradient at state.delta;
+    mutates and returns the state."""
     state.delta = clamp_delta(state.delta - moment_step(state, [value], grad, step_size, b1=0.9))
     return state

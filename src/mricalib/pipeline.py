@@ -2,40 +2,27 @@
 
 Each reverse step runs, in order:
 
-1. the calibration update (when enabled): one exact-gradient step from the
-   reconstruction-set-only iterate described below;
-2. that iterate's own step (when calibration is enabled): the one-step
-   reconstruction the calibration objective scored, that is the denoise
-   step at the step's incoming calibration vector and a data-fidelity
-   solve against the reconstruction-set measurements only;
-3. the main iterate's denoise step with the updated calibration vector and
-   its data-fidelity solve against all measurements at the current weight
-   gamma;
-4. the regularization-weight update with its sliding-window stop (when
-   enabled);
-5. the transition of both iterates to the next noise level, with the
-   same renoise seed.
+1. calibrate (when enabled): linearize the prior at the
+   reconstruction-set-only iterate x_lambda and the step's incoming
+   calibration vector, solve x_lambda's one-step reconstruction
+   x_hat = M⁻¹(gamma Aᴴy + denoise) on the reconstruction set,
+   M = gamma AᴴA + I, score it with `ssl_loss`, pull the loss gradient
+   back through one adjoint solve M⁻¹(tau g) and the prior's pullback,
+   and take one step of the calibration vector;
+2. denoise and fidelity: denoise the main iterate x once at the updated
+   vector and solve it against all measurements for gamma and, while the
+   weight walk runs, its two probe weights, from one CG sequence;
+3. risk (while the walk runs): denoise x + eps mu once and solve it for
+   the probe weights, estimate the risk at each probe from those images,
+   and step gamma, with its sliding-window stop;
+4. renoise: move x_lambda from x_hat and x from its solve to the next
+   noise level, with the same renoise seed.
 
-`reconstruct` issues every denoise and data-fidelity solve of a step: the
-calibration's one-step reconstruction x_hat = M⁻¹(gamma Aᴴy + denoise) on
-the reconstruction set, M = gamma AᴴA + I, which `ssl_loss` scores and
-which is also the reconstruction-set step, its adjoint solve M⁻¹(tau g),
-the main step and the risk probes.  So a calibrated step solves on the
-reconstruction set twice and evaluates the prior there once, and the
-calibration gradient reuses that evaluation's decoder walk.  Steps 3 and 4
-denoise at one (sigma, delta), so a step denoises each of their inputs
-once and the solves share the result.  The main step and the risk probes
-solve against all measurements, so each of their images is solved once for
-all the step's weights, from one CG sequence: x for gamma and the two
-probe weights, x + eps mu for the probes.  With the walk stopped or off
-the family is gamma alone, and the solve is the single-weight one.  Each
-solve reads a measurement set through Aᴴy, computed once before the loop.
-
-The reconstruction-set-only iterate keeps the held-out k-space out of
-the calibration input at no extra prior evaluation or solve: its step is
-the one the objective scored, at the calibration vector the step came in
-with, one update behind the main iterate's.  With calibration off it is
-never advanced and the main iterate's path is unchanged.
+Each value is computed once, where the step needs it.  x_lambda steps at
+the calibration vector it came in with, one update behind x, and keeps
+the held-out k-space out of the calibration input; with calibration off
+it is never advanced and x's path is unchanged.  Each solve reads a
+measurement set through Aᴴy, computed once before the loop.
 
 For a circulant-Gaussian prior the per-level fixed point of denoise + solve
 obeys  (gamma AᴴA + sigma^2 (Sigma + sigma^2 I)^(-1)) x = gamma Aᴴy,
@@ -76,10 +63,11 @@ from .forward import (
 from .metrics import psnr, ssim
 from .phantom import PhantomSpec, make_phantom
 from .priors import ScorePrior, identity_delta
-from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise
+from .sampler import RENOISE_MODES, build_schedule, renoise, tweedie_denoise, tweedie_step
 from .regularization import (
     RegAdaptState,
     convergence_criterion,
+    draw_direction,
     probe_weights,
     sure_loss,
     update_gamma,
@@ -204,56 +192,39 @@ def reconstruct(
     for t in range(cfg.steps, 0, -1):
         sigma = float(sigmas[t - 1])
 
+        # calibrate: x_lambda's one-step reconstruction at the incoming vector, its held-out
+        # loss, and the loss's gradient through one adjoint solve and the prior's pullback
         loss_ssl = None
         if run_fpc:
-            scored: dict[bytes, np.ndarray] = {}  # x_hat by the vector it was built at
-
-            def objective(d):
-                x_hat = scored[d.tobytes()] = solve_p3(
-                    tweedie_denoise(x_lambda, sigma, prior, d), x_zf_l, op_l, gamma, cfg.cg).x
-                loss, g = ssl_loss(x_hat, y_g, op_g)
-                q = solve_p3(cfg.tau_ssl * g, np.zeros_like(g), op_l, gamma, cfg.cg).x
-                return (cfg.tau_ssl * loss + delta_penalty(d),
-                        sigma**2 * prior.delta_vjp(x_lambda, sigma, d, q) + (d - 1))
-
             delta_in = delta_state.delta
-            delta_state = update_delta(delta_state, objective, cfg.delta_step)
-            loss_ssl = delta_state.loss_history[-1]
-            x_lambda_hat = scored[delta_in.tobytes()]  # the step the objective scored
+            score, pullback = prior.linearize(x_lambda, sigma, delta_in)
+            x_lambda_hat = solve_p3(tweedie_step(x_lambda, sigma, score), x_zf_l, op_l, gamma,
+                                    cfg.cg).x
+            loss, g = ssl_loss(x_lambda_hat, y_g, op_g)
+            q = solve_p3(cfg.tau_ssl * g, np.zeros_like(g), op_l, gamma, cfg.cg).x
+            loss_ssl = cfg.tau_ssl * loss + delta_penalty(delta_in)
+            grad = sigma**2 * pullback(q) + (delta_in - 1)
+            del pullback  # its decoder activations go before the main walk's come
+            delta_state = update_delta(delta_state, loss_ssl, grad, cfg.delta_step)
 
-        denoised: dict[bytes, np.ndarray] = {}  # x, x + eps mu; sigma, delta fixed
-
-        def denoise(v):
-            key = v.tobytes()
-            if key not in denoised:
-                denoised[key] = tweedie_denoise(v, sigma, prior, delta_state.delta)
-            return denoised[key]
-
+        # denoise and fidelity: x at the updated vector, solved for gamma and the probe weights
         walk = cfg.enable_rpa and not reg_state.stopped
-        probes = probe_weights(gamma) if walk else ()
-        solved: dict[bytes, dict] = {}  # x: gamma and the probes; x + eps mu: the probes
+        weights = (gamma, *probe_weights(gamma)) if walk else (gamma,)
+        denoised = tweedie_denoise(x, sigma, prior, delta_state.delta)
+        solved = dict(zip(weights, solve_p3_family(denoised, x_zf, op, weights, cfg.cg)))
+        p3 = solved[gamma]
 
-        def fidelity(v, weights):
-            key = v.tobytes()
-            if key not in solved:
-                family = solve_p3_family(denoise(v), x_zf, op, weights, cfg.cg)
-                solved[key] = dict(zip(weights, family))
-            return solved[key]
-
-        p3 = fidelity(x, (gamma, *probes))[gamma]
-
+        # risk: x + eps mu denoised and solved for the probe weights, one estimate per probe
         loss_reg = None
         conv = None
         if walk:
+            probes = weights[1:]
             eps = max(SURE_EPS_SCALE * float(np.max(np.abs(x))), 1e-12)
-
-            def composite(g, v):
-                return fidelity(v, probes)[g].x
-
-            def loss_fn(g):
-                return sure_loss(g, x, x_zf, composite, eps, (cfg.seed_mc, t))
-
-            reg_state = update_gamma(reg_state, loss_fn, cfg.gamma_step)
+            mu = draw_direction(x, (cfg.seed_mc, t))
+            perturbed = tweedie_denoise(x + eps * mu, sigma, prior, delta_state.delta)
+            solved_eps = dict(zip(probes, solve_p3_family(perturbed, x_zf, op, probes, cfg.cg)))
+            risk = {w: sure_loss(x_zf, solved[w].x, solved_eps[w].x, mu, eps) for w in probes}
+            reg_state = update_gamma(reg_state, risk.__getitem__, cfg.gamma_step)
             gamma = reg_state.gamma
             loss_reg = reg_state.loss_history[-1]
             conv = convergence_criterion(reg_state.loss_history, cfg.window)
@@ -405,7 +376,7 @@ def _write_pgm(path: str, image: np.ndarray, peak: float | None = None) -> None:
     h, w = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def trace_columns(records: list[StepRecord]) -> str:

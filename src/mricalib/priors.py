@@ -4,7 +4,10 @@ A score prior evaluates s(x, sigma) ~ grad_x log p_sigma(x) for the prior
 density smoothed at noise level sigma.  Analytic circulant-Gaussian priors
 give closed forms used as oracles; the convolutional prior lives in
 `mricalib.unet` and accepts a calibration vector that rescales frequency
-bands of its skip features.
+bands of its skip features.  A calibratable prior also linearizes: one
+call returns the score and a pullback that maps an image-space vector to
+the score's vector-Jacobian product in the calibration vector.  A prior
+holds no state that depends on its inputs.
 
 Calibration vectors pack two scalars per calibratable layer as
 [alpha_1, beta_1, ..., alpha_L, beta_L]; every entry lives in [0, 2] and
@@ -14,6 +17,7 @@ the all-ones vector is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,14 +27,15 @@ from .fourier import fft2c, ifft2c
 
 class ScorePrior:
     """Interface: evaluate(x, sigma, delta) -> array of x's shape; with layer_count > 0 also
-    delta_vjp(x, sigma, delta, v) -> Re<v, d evaluate(x, sigma, delta) / d delta_j> over j."""
+    linearize(x, sigma, delta) -> (evaluate(x, sigma, delta), pullback), where
+    pullback(v) = Re<v, d evaluate(x, sigma, delta) / d delta_j> over j."""
 
     layer_count: int = 0
 
     def evaluate(self, x: np.ndarray, sigma: float, delta: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def delta_vjp(self, x, sigma, delta, v) -> np.ndarray:
+    def linearize(self, x, sigma, delta) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         raise NotImplementedError
 
 

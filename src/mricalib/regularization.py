@@ -8,7 +8,8 @@ The objective is the product form
 
     L(gamma) = ||x_zf - h(gamma; x)||^2 / (N eps) * mu^T (h(gamma; x + eps mu) - h(gamma; x))
 
-with N the pixel count.
+with N the pixel count.  `sure_loss` takes the two images h(gamma; x) and
+h(gamma; x + eps mu); `pipeline.reconstruct` builds them.
 
 Updates walk log(gamma) with a derivative-free central difference and
 adaptive-moment smoothing, and stop permanently once a sliding-window
@@ -29,11 +30,16 @@ GAMMA_FD_STEP = 0.05  # central-difference probe size in log(gamma)
 _LOG_LO, _LOG_HI = np.log(GAMMA_BOUNDS[0]), np.log(GAMMA_BOUNDS[1])
 
 
-def _draw_direction(like: np.ndarray, seed) -> np.ndarray:
+def draw_direction(like: np.ndarray, seed) -> np.ndarray:
+    """The probe direction mu: standard normal of like's shape, complex if like is."""
     rng = np.random.default_rng(seed)
     if np.iscomplexobj(like):
         return rng.standard_normal(like.shape) + 1j * rng.standard_normal(like.shape)
     return rng.standard_normal(like.shape)
+
+
+def _probe(mu: np.ndarray, h_x: np.ndarray, h_x_eps: np.ndarray) -> float:
+    return float(np.real(np.vdot(mu, h_x_eps - h_x)))
 
 
 def mc_divergence(
@@ -41,7 +47,6 @@ def mc_divergence(
     x: np.ndarray,
     eps: float,
     seed,
-    h_at_x: np.ndarray | None = None,
 ) -> float:
     """Randomized divergence probe mu^T (h(x + eps mu) - h(x)).
 
@@ -52,32 +57,27 @@ def mc_divergence(
     if not eps > 0:
         raise InvalidArgumentError("eps must be > 0")
     x = np.asarray(x)
-    mu = _draw_direction(x, seed)
-    base = h(x) if h_at_x is None else h_at_x
-    diff = h(x + eps * mu) - base
-    return float(np.real(np.vdot(mu, diff)))
+    mu = draw_direction(x, seed)
+    return _probe(mu, h(x), h(x + eps * mu))
 
 
 def sure_loss(
-    gamma: float,
-    x_t: np.ndarray,
     x_zf: np.ndarray,
-    h: Callable[[float, np.ndarray], np.ndarray],
+    h_x: np.ndarray,
+    h_x_eps: np.ndarray,
+    mu: np.ndarray,
     eps: float,
-    seed,
 ) -> float:
-    """Monte-Carlo risk estimate of the composite map h(gamma; .) at x_t."""
+    """Monte-Carlo risk estimate from one map's images h_x at x and h_x_eps at x + eps mu."""
     if not eps > 0:
         raise InvalidArgumentError("eps must be > 0")
-    x_t = np.asarray(x_t)
-    base = h(gamma, x_t)
-    if not np.all(np.isfinite(base.view(np.float64) if np.iscomplexobj(base) else base)):
+    h_x = np.asarray(h_x)
+    if not np.all(np.isfinite(h_x.view(np.float64) if np.iscomplexobj(h_x) else h_x)):
         raise NumericError("composite map produced non-finite values")
-    n = x_t.size
-    resid = x_zf - base
+    n = h_x.size
+    resid = x_zf - h_x
     resid_sq = float(np.real(np.vdot(resid, resid)))
-    div = mc_divergence(lambda v: h(gamma, v), x_t, eps, seed, h_at_x=base)
-    val = resid_sq / (n * eps) * div
+    val = resid_sq / (n * eps) * _probe(mu, h_x, h_x_eps)
     if not np.isfinite(val):
         raise NumericError("risk estimate evaluated to a non-finite value")
     return val
@@ -101,9 +101,8 @@ def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
     """Adaptive-moment step shared by both walks; returns the step to subtract.
 
     Checks that the objective values, the squared gradient and the step
-    are finite, then records the mean value in state.loss_history and
-    advances state.m, state.v and state.iteration; a failed check leaves
-    the state as it was.
+    are finite, then advances state.m, state.v and state.iteration; a
+    failed check leaves the state as it was.
     """
     if not np.all(np.isfinite(evals)):
         raise NumericError("objective returned non-finite values")
@@ -116,7 +115,6 @@ def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
         step = step_size * (m / (1 - b1**iteration)) / (np.sqrt(v / (1 - b2**iteration)) + eps)
     if not (np.all(np.isfinite(grad_sq)) and np.all(np.isfinite(step))):
         raise NumericError(f"adaptive-moment step is not finite (gradient {grad})")
-    state.loss_history.append(float(np.mean(evals)))
     state.m, state.v, state.iteration = m, v, iteration
     return step
 
@@ -154,6 +152,7 @@ def update_gamma(
     grad = (f_plus - f_minus) / (2 * h - max(u + h - hi, 0.0) - max(lo - (u - h), 0.0))
     # short-horizon walk over a noisy 1-D objective: modest momentum
     step = moment_step(state, [f_plus, f_minus], grad, step_size, b1=0.7)
+    state.loss_history.append(float(np.mean([f_plus, f_minus])))
     state.gamma = float(np.exp(np.clip(u - step, lo, hi)))
     return state
 

@@ -47,7 +47,12 @@ def tweedie_denoise(
         raise InvalidArgumentError("sigma must be >= 0")
     if sigma == 0:
         return x.copy()
-    score = prior.evaluate(x, sigma, delta)
+    return tweedie_step(x, sigma, prior.evaluate(x, sigma, delta))
+
+
+def tweedie_step(x: np.ndarray, sigma: float, score: np.ndarray) -> np.ndarray:
+    """x + sigma^2 * score for a score already evaluated at (x, sigma); a non-finite score
+    raises NumericError."""
     if not np.all(np.isfinite(score.view(np.float64))):
         raise NumericError("score evaluation produced non-finite values")
     return x + sigma**2 * score

@@ -28,9 +28,9 @@ runs in float32 on weights cast once, within 1e-5 relative of the float64
 walk; training, `dsm_loss` and the weight files stay float64.  The layer
 primitives compute in the dtype of their input.  Training is denoising
 score matching with hand-derived convolution gradients and plain SGD; the
-calibration gradient (`UNetScorePrior.delta_vjp`) runs the same backward
-without the weight halves, from the decoder walk the evaluation at the same
-(input, noise level, vector) left behind, and stops at the skips.
+calibration gradient (the pullback of `UNetScorePrior.linearize`) runs the
+same backward without the weight halves, from the decoder walk of the same
+call, and stops at the skips.
 """
 
 from __future__ import annotations
@@ -370,48 +370,10 @@ def unet_forward(
 ) -> np.ndarray:
     """Run the network on one complex image; returns the complex 2-channel output.
 
-    This is `UNetScorePrior`'s float32 walk on a fresh prior, so nothing is
-    reused.
+    This is `UNetScorePrior`'s float32 walk on a fresh prior.
     """
     x = np.asarray(x, dtype=np.complex128)
-    return UNetScorePrior(weights)._predict_noise(x, t, delta)
-
-
-@dataclass
-class _EncoderState:
-    """What one input shares across calibration vectors: encoder outputs, skip LOW bands and
-    the last decoder walk."""
-
-    key: tuple  # (input shape, input bytes, noise index)
-    h: np.ndarray  # bottleneck output
-    skips: list[np.ndarray]
-    lows: list[np.ndarray] | None = None  # each skip's LOW band, made on first calibrated use
-    walk: tuple | None = None  # (vector bytes or None, decoder cache, head output)
-
-    def low_bands(self, cutoff: float) -> list[np.ndarray]:
-        if self.lows is None:
-            self.lows = [low_band(s, cutoff) for s in self.skips]
-        return self.lows
-
-    def decode(self, delta, weights: UNetWeights) -> tuple[dict, np.ndarray]:
-        """(decoder cache, head output) of the walk on the raw skips for delta None or all
-        ones, else on each skip modulated by its level's (alpha, beta); the last walk is
-        reused."""
-        if delta is not None and np.all(delta == 1.0):
-            delta = None  # the identity is the uncalibrated walk
-        walk_key = None if delta is None else delta.tobytes()
-        if self.walk is None or self.walk[0] != walk_key:
-            self.walk = None  # the last walk's activations go before the next one's come
-            skips = self.skips
-            if delta is not None:
-                lows = self.low_bands(weights.arch.band_cutoff)
-                # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l],
-                # delta[2l+1]; Python floats, since an np.float64 scalar promotes float32
-                skips = [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
-                         for i, (s, low) in enumerate(zip(skips, lows))]
-            cache: dict = {}
-            self.walk = (walk_key, cache, _decode(self.h, skips, weights, cache))
-        return self.walk[1:]
+    return UNetScorePrior(weights)._walk(x, t, delta)[0]
 
 
 class UNetScorePrior(ScorePrior):
@@ -421,30 +383,17 @@ class UNetScorePrior(ScorePrior):
     network was trained on.  With `calibratable=False` the prior reports
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
-    Evaluations and `delta_vjp` reuse, for the most recent (input bytes,
-    noise index), the encoder and bottleneck outputs, each skip's LOW band
-    and the last decoder walk (its backward cache and head output, keyed by
-    the calibration vector).  So a step's calibration evaluation and its
-    gradient share one encoder pass and one decoder walk, and `delta_vjp`
-    after `evaluate` at the same (x, sigma, delta) runs the backward only.
-    Reuse is bit for bit: every output equals a fresh `unet_forward`, and
-    every gradient a fresh prior's `delta_vjp`, which run the same walks on
-    a fresh prior.  `pipeline.reconstruct` denoises each input once per step
-    and shares the result.
-
-    A calibrated decoder joins the modulated skips where the uncalibrated
-    one joins the raw skips; the decoder walk is the same.  The all-ones
-    vector runs as None in `evaluate` and `delta_vjp` alike, so the identity
-    is the uncalibrated network bit for bit and an uncalibrated evaluation
-    computes no LOW band.
+    `evaluate` and `linearize` run one walk: the encoder, then the decoder
+    on the raw skips for None or the all-ones vector, else on each skip
+    modulated by its level's (alpha, beta).  So the identity is the
+    uncalibrated network bit for bit, and an uncalibrated evaluation
+    computes no LOW band.  `linearize` keeps that walk's backward cache in
+    its pullback, which runs the decoder backward alone.
 
     The network runs in float32 on a copy of the weights cast once here;
     the output goes back to complex128 before it is returned, and
     lies within 1e-5 relative of the float64 walk.  Later changes to the
     caller's `weights.params` do not reach the prior, so build a new one.
-
-    The memory this holds is bounded by one set of encoder activations, one
-    LOW band per skip and one decoder walk's activations (its backward cache).
     """
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
@@ -457,7 +406,6 @@ class UNetScorePrior(ScorePrior):
             weights.arch, {name: p.astype(np.float32) for name, p in weights.params.items()})
         self.calibratable = calibratable
         self._sigmas = weights.arch.sigma_ladder()
-        self._encoded: _EncoderState | None = None
 
     @property
     def layer_count(self) -> int:
@@ -465,65 +413,73 @@ class UNetScorePrior(ScorePrior):
 
     def evaluate(self, x, sigma, delta=None):
         x = np.asarray(x, dtype=np.complex128)
-        if not np.isfinite(sigma):
-            raise InvalidArgumentError(f"sigma must be finite, got {sigma}")
-        if sigma <= 0:
+        idx = self._index(sigma)
+        if idx is None:
             return np.zeros_like(x)
-        idx = int(np.argmin(np.abs(self._sigmas - sigma)))
-        if not self.calibratable:
-            delta = None
-        eps_hat = self._predict_noise(x, idx, delta)
+        eps_hat, _, _ = self._walk(x, idx, delta if self.calibratable else None)
         return -eps_hat / sigma
 
-    def delta_vjp(self, x, sigma, delta, v):
-        """Re<v, d evaluate(x, sigma, delta) / d delta_j> for each calibration entry j.
+    def linearize(self, x, sigma, delta):
+        """`evaluate(x, sigma, delta)` and its pullback v -> Re<v, d evaluate / d delta_j> over j.
 
-        Backpropagates through `evaluate`'s decoder walk (raw skips for all
-        ones, modulated skips otherwise) to each skip's gradient d_l:
+        The pullback backpropagates through the walk's decoder (raw skips for
+        all ones, modulated skips otherwise) to each skip's gradient d_l:
         d alpha_l = <d_l, LOW_l>, d beta_l = <d_l, F_l - LOW_l>.  Follows
-        `evaluate`'s sigma contract.
+        `evaluate`'s sigma contract; at sigma <= 0 the pullback returns zeros.
         """
         x = np.asarray(x, dtype=np.complex128)
+        W, L = self._weights, self.layer_count
+        idx = self._index(sigma)
+        if idx is None:
+            return np.zeros_like(x), lambda v: np.zeros(2 * L)
+        cache: dict = {}
+        eps_hat, skips, lows = self._walk(x, idx, validate_delta(delta, L), cache)
+        if lows is None:
+            lows = [low_band(s, W.arch.band_cutoff) for s in skips]
+
+        def pullback(v):
+            v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
+            _, dskips = _decode_bwd(v2, cache, W)
+            grad = np.empty(2 * L)
+            for i in range(L):
+                grad[2 * i] = np.sum(dskips[i] * lows[i], dtype=np.float64)
+                grad[2 * i + 1] = np.sum(dskips[i] * (skips[i] - lows[i]), dtype=np.float64)
+            return -grad / sigma
+
+        return -eps_hat / sigma, pullback
+
+    def _index(self, sigma: float) -> int | None:
+        """The ladder index nearest sigma; None at sigma <= 0, where the score is zero."""
         if not np.isfinite(sigma):
             raise InvalidArgumentError(f"sigma must be finite, got {sigma}")
-        if sigma <= 0:
-            return np.zeros(2 * self.layer_count)
-        W, L = self._weights, self.layer_count
-        delta = validate_delta(delta, L)
-        enc = self._encoder_state(x, int(np.argmin(np.abs(self._sigmas - sigma))))
-        cache, _ = enc.decode(delta, W)
-        v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
-        _, dskips = _decode_bwd(v2, cache, W)
-        lows = enc.low_bands(W.arch.band_cutoff)
-        grad = np.empty(2 * L)
-        for i in range(L):
-            grad[2 * i] = np.sum(dskips[i] * lows[i], dtype=np.float64)
-            grad[2 * i + 1] = np.sum(dskips[i] * (enc.skips[i] - lows[i]), dtype=np.float64)
-        return -grad / sigma
+        return None if sigma <= 0 else int(np.argmin(np.abs(self._sigmas - sigma)))
 
-    def _encoder_state(self, x: np.ndarray, idx: int) -> _EncoderState:
-        """The encoder state of an (H, W) image at ladder index idx."""
-        if x.ndim != 2:
-            raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
-        in_key = (x.shape, x.tobytes(), idx)
-        if self._encoded is None or self._encoded.key != in_key:
-            self._encoded = None  # the old state's activations go before the new one's come
-            x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
-            t_idx = np.array([idx], dtype=np.int64)
-            _check_input(x2.shape, t_idx, self._weights.arch)
-            self._encoded = _EncoderState(in_key, *_encode(x2, t_idx, self._weights))
-        return self._encoded
+    def _walk(self, x: np.ndarray, idx: int, delta, cache: dict | None = None):
+        """The network's complex output for one (H, W) image at ladder index idx, the encoder's
+        skips, and their LOW bands if the walk modulated them (else None).
 
-    def _predict_noise(self, x: np.ndarray, idx: int, delta) -> np.ndarray:
-        """The network's complex output for one (H, W) image at ladder index idx.
-
-        Reuses what earlier calls computed; a vector of all ones runs as None.
+        A vector of all ones runs as None; a cache keeps what `_decode_bwd` needs.
         """
         W = self._weights
         if delta is not None:
             delta = validate_delta(delta, W.arch.layer_count)
-        _, head = self._encoder_state(x, idx).decode(delta, W)
-        return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
+            if np.all(delta == 1.0):
+                delta = None  # the identity is the uncalibrated walk
+        if x.ndim != 2:
+            raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
+        x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
+        t_idx = np.array([idx], dtype=np.int64)
+        _check_input(x2.shape, t_idx, W.arch)
+        h, skips = _encode(x2, t_idx, W)
+        joined, lows = skips, None
+        if delta is not None:
+            lows = [low_band(s, W.arch.band_cutoff) for s in skips]
+            # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
+            # Python floats, since an np.float64 scalar promotes float32
+            joined = [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
+                      for i, (s, low) in enumerate(zip(skips, lows))]
+        head = _decode(h, joined, W, cache)
+        return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128), skips, lows
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from mricalib import (
     CGConfig,
     DeltaOptState,
     ForwardOperator,
+    ReconConfig,
     apply_adjoint,
     apply_forward,
     delta_penalty,
     generate_mask,
     partition_mask,
+    reconstruct,
     solve_p3,
     ssl_loss,
     synth_coil_maps,
@@ -18,6 +20,7 @@ from mricalib import (
     update_delta,
     white_prior,
 )
+from mricalib import pipeline
 from mricalib.errors import InvalidArgumentError, NumericError
 from mricalib.phantom import PhantomSpec, make_phantom
 from mricalib.unet import UNetArch, UNetScorePrior, init_weights
@@ -195,7 +198,7 @@ def _penalty_objective(d):
 
 def test_stationary_point_is_fixed():
     state = DeltaOptState(delta=np.ones(4))
-    state = update_delta(state, _penalty_objective, step_size=0.05)
+    state = update_delta(state, *_penalty_objective(state.delta), step_size=0.05)
     assert np.array_equal(state.delta, np.ones(4))
 
 
@@ -203,7 +206,8 @@ def test_clamp_invariant_after_updates():
     rng = np.random.default_rng(2)
     state = DeltaOptState(delta=rng.uniform(0, 2, size=6))
     for _ in range(20):  # push upward
-        state = update_delta(state, lambda d: (-np.sum(d), -np.ones_like(d)), step_size=0.8)
+        state = update_delta(state, -np.sum(state.delta), -np.ones_like(state.delta),
+                             step_size=0.8)
         assert np.all(state.delta >= 0) and np.all(state.delta <= 2)
     assert np.allclose(state.delta, 2.0)
 
@@ -213,7 +217,7 @@ def test_monotone_descent_after_warmup():
     objective = lambda d: (float(np.sum((d - 1.8) ** 2)), 2.0 * (d - 1.8))
     values = []
     for _ in range(50):
-        state = update_delta(state, objective, step_size=0.01)
+        state = update_delta(state, *objective(state.delta), step_size=0.01)
         values.append(objective(state.delta)[0])
     diffs = np.diff(values[5:])
     assert np.all(diffs <= 1e-12)
@@ -225,18 +229,38 @@ def test_penalty_pulls_delta_to_identity():
     frozen_ssl = 3.7  # constant, as with a calibration-blind prior
     objective = lambda d: (frozen_ssl + delta_penalty(d), d - 1.0)
     for _ in range(100):
-        state = update_delta(state, objective, step_size=0.05)
+        state = update_delta(state, *objective(state.delta), step_size=0.05)
     assert np.linalg.norm(state.delta - 1.0) <= 0.05
 
 
-def test_step_records_the_objective_at_the_incoming_vector():
+def test_step_records_the_objective_at_the_incoming_vector(monkeypatch):
+    """Each record's loss_ssl is the value the step's calibration update took, at the vector
+    the step came in with: all ones first, then the vector the previous record holds."""
     state = DeltaOptState(delta=np.array([0.5, 1.5]))
-    update_delta(state, _penalty_objective, step_size=0.05)
-    assert state.loss_history == [0.25]
+    update_delta(state, *_penalty_objective(state.delta), step_size=0.05)
     assert np.allclose(state.delta, [0.55, 1.45])  # the first step has size step_size
+
+    phantom = make_phantom(PhantomSpec(size=32, seed=4))
+    mask = generate_mask("Gaussian1D", 32, 32, 4, 0.1, seed=5)
+    op = ForwardOperator(mask, synth_coil_maps(2, 32, 32, seed=6))
+    prior = UNetScorePrior(init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), 7))
+    cfg = ReconConfig(steps=4, cg=CGConfig(max_iters=12, tol=1e-8), enable_rpa=False)
+    stepped = []
+    real_update_delta = pipeline.update_delta
+
+    def spy(state, value, grad, step_size):
+        stepped.append((state.delta.copy(), value))
+        return real_update_delta(state, value, grad, step_size)
+
+    monkeypatch.setattr(pipeline, "update_delta", spy)
+    _, report = reconstruct(apply_forward(phantom, op), op, prior, cfg)
+    assert [value for _, value in stepped] == [rec.loss_ssl for rec in report.records]
+    incoming = [np.ones(4)] + [rec.delta for rec in report.records[:-1]]
+    for (delta_in, _), want in zip(stepped, incoming, strict=True):
+        assert np.array_equal(delta_in, want)
 
 
 def test_nonfinite_objective_rejected():
     state = DeltaOptState(delta=np.ones(2))
     with pytest.raises(NumericError):
-        update_delta(state, lambda d: (float("nan"), np.zeros(2)), step_size=0.05)
+        update_delta(state, float("nan"), np.zeros(2), step_size=0.05)

@@ -14,7 +14,9 @@ from mricalib import (
     ScorePrior,
     StepRecord,
     add_noise,
+    apply_adjoint,
     apply_forward,
+    delta_penalty,
     emit_images,
     format_ablation_table,
     generate_mask,
@@ -25,6 +27,7 @@ from mricalib import (
     run_ablation,
     shifted_cases,
     solve_p3,
+    ssl_loss,
     synth_coil_maps,
     trace_columns,
     white_prior,
@@ -193,8 +196,8 @@ class _CalibrationBlindPrior(ScorePrior):
     def evaluate(self, x, sigma, delta=None):
         return -x / (1.0 + sigma**2)
 
-    def delta_vjp(self, x, sigma, delta, v):
-        return np.zeros(2)
+    def linearize(self, x, sigma, delta):
+        return self.evaluate(x, sigma, delta), lambda v: np.zeros(2)
 
 
 def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
@@ -212,12 +215,12 @@ def test_calibration_input_never_sees_heldout_kspace(monkeypatch):
             scored.append(np.array(x_hat, copy=True))
             return real_ssl_loss(x_hat, *args)
 
-        def vjp_spy(x, *args):
+        def linearize_spy(x, *args):
             differentiated.append(np.array(x, copy=True))
-            return _CalibrationBlindPrior.delta_vjp(prior, x, *args)
+            return _CalibrationBlindPrior.linearize(prior, x, *args)
 
         monkeypatch.setattr(pipeline, "ssl_loss", spy)
-        prior.delta_vjp = vjp_spy
+        prior.linearize = linearize_spy
         reconstruct(y_run, op, prior, cfg)
         return scored, differentiated
 
@@ -260,31 +263,56 @@ class _TwoBandPrior(ScorePrior):
         low, high = self._bands(x)
         return -(alpha * low + beta * high) / (1.0 + sigma**2)
 
-    def delta_vjp(self, x, sigma, delta, v):
-        return np.array([-np.real(np.vdot(v, band)) for band in self._bands(x)]) / (1.0 + sigma**2)
+    def linearize(self, x, sigma, delta):
+        bands = self._bands(x)
+
+        def pullback(v):
+            return np.array([-np.real(np.vdot(v, band)) for band in bands]) / (1.0 + sigma**2)
+
+        return self.evaluate(x, sigma, delta), pullback
 
 
 def test_calibration_gradient_matches_finite_differences(monkeypatch):
-    """At every step the loop's objective returns the gradient of its own value: the adjoint
-    solve and delta_vjp against central differences, with a CG tight enough to be exact."""
+    """At every step the loop's calibration value is the objective's definition at the incoming
+    vector, exactly, and its gradient (the adjoint solve and the prior's pullback) matches
+    central differences of that definition, with a CG tight enough to be exact."""
     phantom, op, y = _problem(seed=22)
     cfg = ReconConfig(steps=6, cg=CGConfig(max_iters=200, tol=1e-13), enable_fpc=True,
                       enable_rpa=False, gamma_init=2.5, tau_ssl=2.0)
-    real_update_delta = pipeline.update_delta
-    errors = []
+    prior = _TwoBandPrior()
+    linearized, stepped = [], []
+    real_linearize, real_update_delta = prior.linearize, pipeline.update_delta
 
-    def checked(state, objective, step_size):
-        _, grad = objective(state.delta)
-        h = 1e-5
-        fd = np.array([objective(state.delta + h * e)[0] - objective(state.delta - h * e)[0]
-                       for e in np.eye(state.delta.size)]) / (2 * h)
-        errors.append(np.max(np.abs(grad - fd)) / np.max(np.abs(fd)))
-        return real_update_delta(state, objective, step_size)
+    def linearize_spy(x, sigma, delta):
+        linearized.append((np.array(x, copy=True), sigma, np.array(delta, copy=True)))
+        return real_linearize(x, sigma, delta)
 
-    monkeypatch.setattr(pipeline, "update_delta", checked)
-    _, report = reconstruct(y, op, _TwoBandPrior(), cfg)
+    def update_delta_spy(state, value, grad, step_size):
+        stepped.append((value, np.array(grad, copy=True)))
+        return real_update_delta(state, value, grad, step_size)
+
+    prior.linearize = linearize_spy
+    monkeypatch.setattr(pipeline, "update_delta", update_delta_spy)
+    _, report = reconstruct(y, op, prior, cfg)
     assert any(not np.all(rec.delta == 1.0) for rec in report.records)
-    assert len(errors) == cfg.steps and max(errors) <= 1e-6, errors
+    assert len(linearized) == len(stepped) == cfg.steps
+
+    part = partition_mask(op.mask, pipeline.HOLDOUT_FRACTION, cfg.seed_partition)
+    op_l, op_g = op.with_mask(part.lambda_bits), op.with_mask(part.gamma_bits)
+    x_zf_l, y_g = apply_adjoint(y, op_l), y * part.gamma_bits[None]
+    errors = []
+    for (x_lambda, sigma, delta_in), (value, grad) in zip(linearized, stepped):
+        def objective(d):
+            denoised = x_lambda + sigma**2 * prior.evaluate(x_lambda, sigma, d)
+            x_hat = solve_p3(denoised, x_zf_l, op_l, cfg.gamma_init, cfg.cg).x
+            return cfg.tau_ssl * ssl_loss(x_hat, y_g, op_g)[0] + delta_penalty(d)
+
+        assert value == objective(delta_in)
+        h = 1e-5
+        fd = np.array([objective(delta_in + h * e) - objective(delta_in - h * e)
+                       for e in np.eye(delta_in.size)]) / (2 * h)
+        errors.append(np.max(np.abs(grad - fd)) / np.max(np.abs(fd)))
+    assert max(errors) <= 1e-6, errors
 
 
 class _FreshUNetPrior(ScorePrior):
@@ -299,8 +327,9 @@ class _FreshUNetPrior(ScorePrior):
         idx = int(np.argmin(np.abs(self._sigmas - sigma)))
         return -unet_forward(x, idx, delta, self.weights) / sigma
 
-    def delta_vjp(self, x, sigma, delta, v):
-        return UNetScorePrior(self.weights).delta_vjp(x, sigma, delta, v)
+    def linearize(self, x, sigma, delta):
+        _, pullback = UNetScorePrior(self.weights).linearize(x, sigma, delta)
+        return self.evaluate(x, sigma, delta), pullback
 
 
 def test_unet_prior_reuse_is_bit_identical_end_to_end():
@@ -335,8 +364,8 @@ class _EvaluationLog(ScorePrior):
         self.calls.append((sigma, x.tobytes(), None if delta is None else delta.tobytes()))
         return -x / (1.0 + sigma**2)
 
-    def delta_vjp(self, x, sigma, delta, v):
-        return np.ones(4)
+    def linearize(self, x, sigma, delta):
+        return self.evaluate(x, sigma, delta), lambda v: np.ones(4)
 
 
 @pytest.mark.parametrize("enable_fpc", [False, True])
@@ -400,13 +429,13 @@ def test_lambda_iterate_takes_the_scored_step(monkeypatch):
         renoised.append((np.array(x_hat, copy=True), out))
         return out
 
-    def vjp_spy(x, *args):
+    def linearize_spy(x, *args):
         differentiated.append(np.array(x, copy=True))
-        return _TwoBandPrior.delta_vjp(prior, x, *args)
+        return _TwoBandPrior.linearize(prior, x, *args)
 
     monkeypatch.setattr(pipeline, "ssl_loss", ssl_spy)
     monkeypatch.setattr(pipeline, "renoise", renoise_spy)
-    prior.delta_vjp = vjp_spy
+    prior.linearize = linearize_spy
     _, report = reconstruct(y, op, prior, cfg)
     assert any(not np.all(rec.delta == 1.0) for rec in report.records)
     assert len(scored) == len(differentiated) == cfg.steps and len(renoised) == 2 * cfg.steps
@@ -419,8 +448,8 @@ def test_lambda_iterate_takes_the_scored_step(monkeypatch):
 
 def test_calibration_gradient_shares_the_encoder_pass(monkeypatch):
     """The calibration's evaluation (x_lambda's denoise) and its gradient share one encoder
-    pass: 3 encodes a step while the risk walk runs (x_lambda, x, x + eps mu), 2 after it stops,
-    and one fewer in the first step, where x_lambda is x."""
+    pass, linearize's: 3 encodes a step while the risk walk runs (x_lambda, x, x + eps mu) and
+    2 after it stops, the first step included, where x_lambda is x."""
     phantom, op, y = _problem(seed=23)
     weights = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=8)
     cfg = ReconConfig(**FAST, tau_reg=1e6, window=2)
@@ -435,7 +464,7 @@ def test_calibration_gradient_shares_the_encoder_pass(monkeypatch):
     _, report = reconstruct(y, op, UNetScorePrior(weights), cfg)
     active = sum(rec.loss_reg is not None for rec in report.records)
     assert 0 < active < cfg.steps
-    assert len(encodes) == 3 * active + 2 * (cfg.steps - active) - 1
+    assert len(encodes) == 3 * active + 2 * (cfg.steps - active)
 
 
 @pytest.mark.parametrize("enable_fpc, adjoints", [(True, 2), (False, 1)])
@@ -538,6 +567,34 @@ def test_calibration_off_runs_are_pinned():
     cfg = ReconConfig(steps=12, enable_fpc=False)
     gaussian_run = _run_digest(*reconstruct(y, op, prior, cfg, reference=phantom))
     assert (unet_run, gaussian_run) in CALIBRATION_OFF_DIGESTS.values()
+
+
+# _run_digest of the two calibrated runs in test_calibration_on_runs_are_pinned, recorded
+# while the loop still kept memo tables and the U-Net prior an encoder cache; one row per
+# OpenBLAS kernel family, as above.
+CALIBRATION_ON_DIGESTS = {
+    "SkylakeX": ("bf3ef1c972278284", "210447e09657ba70"),
+    "Haswell, Zen": ("e0d6841e39c12749", "70c7ab35fd24a0b6"),
+    "Sandybridge": ("43b2387adaa69b3b", "b829c67c848928b6"),
+}
+
+
+def _calibration_on_runs():
+    """Digests of a calibrated U-Net run with the weight walk on and stochastic renoise, and
+    of one with the walk off."""
+    phantom, op, y = _problem(seed=27)
+    w = init_weights(UNetArch(widths=(4, 8), bottleneck=8, emb_steps=8), seed=10)
+    w.params["emb"] = np.random.default_rng(28).standard_normal(w.params["emb"].shape)
+    walk_on = ReconConfig(**FAST, renoise_mode="stochastic", tau_reg=1e6, window=2)
+    walk_off = ReconConfig(**FAST, enable_rpa=False)
+    return tuple(_run_digest(*reconstruct(y, op, UNetScorePrior(w), cfg, reference=phantom))
+                 for cfg in (walk_on, walk_off))
+
+
+def test_calibration_on_runs_are_pinned():
+    """Calibrated runs, with the weight walk on (stopping midway) and off, are bit-identical
+    to the recorded digests."""
+    assert _calibration_on_runs() in CALIBRATION_ON_DIGESTS.values()
 
 
 def test_early_stop_keeps_full_record_count():

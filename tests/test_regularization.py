@@ -11,7 +11,13 @@ from mricalib import (
 )
 from mricalib.calibration import DeltaOptState, update_delta
 from mricalib.errors import InvalidArgumentError, NumericError
-from mricalib.regularization import GAMMA_BOUNDS
+from mricalib.regularization import GAMMA_BOUNDS, draw_direction
+
+
+def _sure(gamma, x_t, x_zf, h, eps, seed):
+    """sure_loss of the map h(gamma; .) at x_t, with its probe direction drawn from seed."""
+    mu = draw_direction(np.asarray(x_t), seed)
+    return sure_loss(x_zf, h(gamma, x_t), h(gamma, x_t + eps * mu), mu, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +71,7 @@ def test_divergence_nan_eps():
 @pytest.mark.parametrize("eps", [0.0, np.nan])
 def test_sure_bad_eps(eps):
     with pytest.raises(InvalidArgumentError):
-        sure_loss(1.0, np.ones(4), np.zeros(4), lambda g, v: v, eps, seed=0)
+        _sure(1.0, np.ones(4), np.zeros(4), lambda g, v: v, eps, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +85,7 @@ def test_sure_identity_map_hand_formula():
     x_zf = rng.standard_normal(64)
     eps = 1e-2
     seed = 5
-    val = sure_loss(1.0, x_t, x_zf, lambda g, v: v, eps, seed)
+    val = _sure(1.0, x_t, x_zf, lambda g, v: v, eps, seed)
     mu = np.random.default_rng(seed).standard_normal(64)
     expected = float((x_zf - x_t) @ (x_zf - x_t)) * float(mu @ mu) / 64.0
     assert abs(val - expected) <= 1e-9 * abs(expected)
@@ -88,7 +94,7 @@ def test_sure_identity_map_hand_formula():
 def test_sure_zero_residual_gives_zero():
     rng = np.random.default_rng(6)
     x_t = rng.standard_normal(32)
-    val = sure_loss(1.0, x_t, x_t.copy(), lambda g, v: v, 1e-3, seed=7)
+    val = _sure(1.0, x_t, x_t.copy(), lambda g, v: v, 1e-3, seed=7)
     assert val == 0.0
 
 
@@ -97,8 +103,8 @@ def test_sure_deterministic_given_seed():
     x_t = rng.standard_normal(16)
     x_zf = rng.standard_normal(16)
     h = lambda g, v: v / (1 + g)
-    a = sure_loss(2.0, x_t, x_zf, h, 1e-3, seed=11)
-    b = sure_loss(2.0, x_t, x_zf, h, 1e-3, seed=11)
+    a = _sure(2.0, x_t, x_zf, h, 1e-3, seed=11)
+    b = _sure(2.0, x_t, x_zf, h, 1e-3, seed=11)
     assert a == b
 
 
@@ -107,7 +113,7 @@ def test_sure_seed_stability():
     x_t = rng.standard_normal(256)
     x_zf = x_t + 0.1 * rng.standard_normal(256)
     h = lambda g, v: v * (g / (1 + g))
-    vals = [sure_loss(1.5, x_t, x_zf, h, 1e-3, seed=s) for s in range(100)]
+    vals = [_sure(1.5, x_t, x_zf, h, 1e-3, seed=s) for s in range(100)]
     mean = np.mean(vals)
     stderr = np.std(vals) / np.sqrt(len(vals))
     assert stderr <= 0.10 * abs(mean)
@@ -115,7 +121,7 @@ def test_sure_seed_stability():
 
 def test_sure_nonfinite_rejected():
     with pytest.raises(NumericError):
-        sure_loss(1.0, np.zeros(4), np.zeros(4), lambda g, v: v * np.nan, 1e-3, seed=0)
+        _sure(1.0, np.zeros(4), np.zeros(4), lambda g, v: v * np.nan, 1e-3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +180,14 @@ def test_walks_reproduce_recorded_arithmetic():
 
     d_state = DeltaOptState(delta=np.array([0.02, 1.0, 1.995]))
     g_state = RegAdaptState(gamma=2.0)
+    d_values = []
     for _ in range(3):
-        d_state = update_delta(d_state, f_delta, step_size=0.05)
+        value, grad = f_delta(d_state.delta)
+        d_values.append(value)
+        d_state = update_delta(d_state, value, grad, step_size=0.05)
         g_state = update_gamma(g_state, f_gamma, step_size=0.3)
     assert repr(d_state.delta.tolist()) == "[0.0, 1.1497128123582347, 1.84547351743518]"
-    assert repr(d_state.loss_history) == (
+    assert repr(d_values) == (
         "[3.174772935784501, 2.6213369696577136, 2.1121430705393838]")
     assert repr(g_state.gamma) == "2.0486489387758824"
     assert repr(g_state.loss_history) == (
@@ -197,11 +206,12 @@ def test_gradient_whose_square_overflows_is_rejected(walk):
     else:  # grad = 1e200 in the first coordinate
         state = DeltaOptState(delta=np.ones(2))
         def step():
-            return update_delta(state, lambda d: (1e200 * float(d[0]), np.array([1e200, 0.0])),
+            return update_delta(state, 1e200 * float(state.delta[0]), np.array([1e200, 0.0]),
                                 step_size=0.05)
     with pytest.raises(NumericError, match="not finite"):
         step()
-    assert (state.iteration, state.loss_history) == (0, [])
+    assert state.iteration == 0
+    assert walk == "delta" or state.loss_history == []
     assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
 

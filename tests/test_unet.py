@@ -355,27 +355,35 @@ def test_float32_prior_matches_float64_walk_on_prior_shapes(calibratable):
 
 
 def test_inference_runs_in_float32(monkeypatch):
-    """The encoder state, the memoised LOW bands and every conv's input, kernel and
-    output are float32, calibrated or not; evaluate returns complex128."""
-    seen = set()
-    conv = unet._conv2d
+    """Every conv's input, kernel and output and every LOW band are float32, calibrated or
+    not, in evaluate and linearize alike; the score and the pullback's input are complex128."""
+    seen, bands = set(), []
+    conv, band = unet._conv2d, unet.low_band
 
     def recording_conv(x, w, b, want_cache):
         y, cache = conv(x, w, b, want_cache)
         seen.add((x.dtype, w.dtype, y.dtype))
         return y, cache
 
+    def recording_band(feat, cutoff):
+        low = band(feat, cutoff)
+        bands.append((feat.dtype, low.dtype))
+        return low
+
     monkeypatch.setattr(unet, "_conv2d", recording_conv)
+    monkeypatch.setattr(unet, "low_band", recording_band)
     rng = np.random.default_rng(20)
     w = init_weights(TINY, seed=21)
     prior = UNetScorePrior(w)
     x = _rand_image(rng)
     for delta in (None, np.array([1.1, 0.9, 0.8, 1.2]), np.array([1.1, 0.9, 0.8, 1.25])):
         assert prior.evaluate(x, 0.5, delta).dtype == np.complex128
-    enc = prior._encoded
-    held = [enc.h, *enc.skips, *enc.lows]
-    assert len(held) == 1 + 2 + 2
-    assert all(a.dtype == np.float32 for a in held)
+    for delta in (np.ones(4), np.array([1.1, 0.9, 0.8, 1.2])):
+        score, pullback = prior.linearize(x, 0.5, delta)
+        assert score.dtype == np.complex128
+        pullback(x)
+    assert len(bands) == 2 * 2 + 2 * 2  # two calibrated evaluations and two linearizations
+    assert set(bands) == {(np.dtype(np.float32),) * 2}
     assert seen == {(np.dtype(np.float32),) * 3}
 
 
@@ -422,9 +430,9 @@ THREE_LEVELS = UNetArch(widths=(4, 6, 8), bottleneck=10, emb_steps=25)
     (THREE_LEVELS, np.array([1.1, 0.8, 0.9, 1.3, 1.2, 0.7])),
 ], ids=["identity", "perturbed", "three-levels-identity", "three-levels-perturbed"])
 def test_delta_vjp_matches_finite_differences_of_float64_walk(arch, delta):
-    """The float32 prior's Re<v, d evaluate / d delta_j> equals central differences of the
-    float64 walk within 1e-4 of the largest entry, at a high and a low noise level, on the
-    acceptance prior and on three levels of distinct widths."""
+    """The float32 prior's delta VJP, linearize's pullback v -> Re<v, d evaluate / d delta_j>,
+    equals central differences of the float64 walk within 1e-4 of the largest entry, at a high
+    and a low noise level, on the acceptance prior and on three levels of distinct widths."""
     rng = np.random.default_rng(22)
     w = init_weights(arch, seed=23)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
@@ -442,36 +450,42 @@ def test_delta_vjp_matches_finite_differences_of_float64_walk(arch, delta):
 
         fd = np.array([value(delta + h * e) - value(delta - h * e)
                        for e in np.eye(delta.size)]) / (2 * h)
-        got = prior.delta_vjp(x, sigma, delta, v)
+        _, pullback = prior.linearize(x, sigma, delta)
+        got = pullback(v)
         assert np.max(np.abs(got - fd)) <= 1e-4 * np.max(np.abs(fd)), (idx, got, fd)
 
 
 @pytest.mark.parametrize("delta", [np.ones(4), np.array([1.1, 0.8, 0.9, 1.3])],
                          ids=["identity", "perturbed"])
 def test_delta_vjp_reuses_the_evaluation_walk(monkeypatch, delta):
-    """After evaluate at the same (x, sigma, delta), delta_vjp runs no decoder walk and equals
-    a fresh prior's delta_vjp bit for bit."""
+    """linearize's score is evaluate's bit for bit, and its pullback, the delta VJP, reuses
+    that walk: it calls neither _encode nor _decode, and a second call returns the same
+    bits."""
     rng = np.random.default_rng(31)
     w = init_weights(C8, seed=32)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
     sigma = float(C8.sigma_ladder()[6])
     x, v = _rand_image(rng, 64), _rand_image(rng, 64)
-    fresh = UNetScorePrior(w).delta_vjp(x, sigma, delta, v)
     prior = UNetScorePrior(w)
-    prior.evaluate(x, sigma, delta)
+    score, pullback = prior.linearize(x, sigma, delta)
+    assert score.tobytes() == prior.evaluate(x, sigma, delta).tobytes()
     walks = []
-    real_decode = unet._decode
 
-    def counting_decode(*args, **kwargs):
-        walks.append(1)
-        return real_decode(*args, **kwargs)
+    def counting(name):
+        real = getattr(unet, name)
 
-    monkeypatch.setattr(unet, "_decode", counting_decode)
-    got = prior.delta_vjp(x, sigma, delta, v)
+        def count(*args, **kwargs):
+            walks.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(unet, name, count)
+
+    counting("_encode")
+    counting("_decode")
+    got = pullback(v)
+    assert got.shape == (4,) and np.all(np.isfinite(got))
+    assert pullback(v).tobytes() == got.tobytes()
     assert not walks
-    assert got.tobytes() == fresh.tobytes()
-    prior.delta_vjp(x, sigma, delta + 0.01, v)  # another vector walks again
-    assert len(walks) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +668,7 @@ def test_prior_rejects_non_finite_sigma(sigma):
     with pytest.raises(InvalidArgumentError):
         prior.evaluate(np.zeros((16, 16), complex), sigma, np.ones(4))
     with pytest.raises(InvalidArgumentError):
-        prior.delta_vjp(np.zeros((16, 16), complex), sigma, np.ones(4), np.ones((16, 16)))
+        prior.linearize(np.zeros((16, 16), complex), sigma, np.ones(4))
 
 
 def test_prior_score_is_zero_at_non_positive_sigma():
@@ -662,7 +676,9 @@ def test_prior_score_is_zero_at_non_positive_sigma():
     x = _rand_image(np.random.default_rng(10))
     for sigma in (0.0, -0.5):
         assert np.array_equal(prior.evaluate(x, sigma, np.ones(4)), np.zeros_like(x))
-        assert np.array_equal(prior.delta_vjp(x, sigma, np.ones(4), x), np.zeros(4))
+        score, pullback = prior.linearize(x, sigma, np.ones(4))
+        assert np.array_equal(score, np.zeros_like(x))
+        assert np.array_equal(pullback(x), np.zeros(4))
 
 
 def test_memoized_evaluate_matches_fresh_forward():
