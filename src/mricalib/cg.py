@@ -18,10 +18,18 @@ stops at its own tolerance.  A family of one weight is solve_p3, and
 solve_p3 is plain CG, operation for operation.  Each solve or family
 builds AᴴA once with forward.normal_operator, one path for every mask
 (sub-column readout decoupling), within 1e-13 relative of Aᴴ(A v).
+
+One iteration does one AᴴA application (scaled by the weight, plus v, in
+the Gram output's own buffer), two inner products, and in-place updates
+of the seed's and each running follower's vectors in buffers allocated
+once per sequence.  The scalar recurrences (zeta, alpha, beta, residuals,
+stop tests) run in Python floats; a member that stops keeps its buffer as
+its result and leaves the others' untouched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,6 +56,20 @@ class CGResult:
     iters: int
 
 
+@dataclass(eq=False, slots=True)
+class _Follower:
+    """A shifted system still running: its iterate and direction buffers and its recurrence."""
+
+    index: int  # position in the result list
+    shift: float
+    b_norm: float
+    x: np.ndarray
+    p: np.ndarray
+    zeta: float = 1.0  # residual factor against the seed's, this and the previous iteration
+    zeta_old: float = 1.0
+    residual: float = 0.0
+
+
 def _shifted_cg(
     operator: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
@@ -65,6 +87,9 @@ def _shifted_cg(
     to its own right-hand side; the sequence runs until all have stopped
     or cfg.max_iters is reached.  Returns the seed's result, then one per
     shift.  With no shifts this is plain CG, operation for operation.
+
+    Each system's iterate and direction are updated in place in buffers
+    allocated once; a stopped system's iterate buffer becomes its result.
     """
     rhs = np.asarray(rhs)
     b_norms = [float(np.linalg.norm(rhs))]
@@ -82,43 +107,31 @@ def _shifted_cg(
 
     x = np.array(x0, copy=True)
     r = rhs - operator(x)
+    x = x.astype(np.result_type(x, r), copy=False)  # the dtype the first update gives x
     p = r.copy()
+    scratch = np.empty_like(r)
     rs = float(np.real(np.vdot(r, r)))
     seed_norm = b_norms[0] or 1.0  # a settled seed's residual only tests rs for finiteness
-    residual = np.sqrt(rs) / seed_norm
+    root = math.sqrt(rs)
+    residual = root / seed_norm
     iters = 0
-
-    # followers still running, one row each; row i solves system rows[i] and carries its
-    # shift, rhs norm, zeta (this and the previous iteration), iterate and direction
-    rows = [j for j in range(1, len(results)) if results[j] is None]
-    shift = np.array([shifts[j - 1] for j in rows], dtype=float)
-    f_norm = np.array([b_norms[j] for j in rows])
-    zeta, zeta_old = np.ones(len(rows)), np.ones(len(rows))
-    col = (slice(None),) + (None,) * r.ndim  # a per-row scalar against a stack of vectors
-    xs = np.empty((len(rows), *r.shape), dtype=np.result_type(x, r))
-    xs[:] = x
-    ps = np.repeat(r[None], len(rows), axis=0)
-    scratch = np.empty_like(ps)
+    followers = [_Follower(j, shifts[j - 1], b_norms[j], x.copy(), r.copy())
+                 for j in range(1, len(results)) if results[j] is None]
     alpha_old, beta_old = 1.0, 0.0
 
     while True:
-        if not np.isfinite(residual):
+        if not math.isfinite(residual):
             raise NumericError(f"CG residual is not finite after {iters} iterations")
         if results[0] is None and residual <= cfg.tol:
             results[0] = CGResult(x, residual, iters)
-        if rows:
-            f_res = np.abs(zeta) * np.sqrt(rs) / f_norm
-            if not np.all(np.isfinite(f_res)):
+        for f in followers:
+            f.residual = abs(f.zeta) * root / f.b_norm
+            if not math.isfinite(f.residual):
                 raise NumericError(f"CG residual is not finite after {iters} iterations")
-            done = f_res <= cfg.tol
-            for i in np.flatnonzero(done):
-                results[rows[i]] = CGResult(xs[i].copy(), f_res[i], iters)
-            if done.any():
-                keep = ~done
-                rows = [j for j, k in zip(rows, keep) if k]
-                shift, f_norm, zeta, zeta_old = shift[keep], f_norm[keep], zeta[keep], zeta_old[keep]
-                xs, ps, scratch, f_res = xs[keep], ps[keep], scratch[keep], f_res[keep]
-        if iters >= cfg.max_iters or (results[0] is not None and not rows):
+            if f.residual <= cfg.tol:
+                results[f.index] = CGResult(f.x, f.residual, iters)
+        followers = [f for f in followers if results[f.index] is None]
+        if iters >= cfg.max_iters or (results[0] is not None and not followers):
             break
 
         op_p = operator(p)
@@ -127,27 +140,26 @@ def _shifted_cg(
             raise NumericError(f"CG breakdown: pᴴOp(p) = {p_op_p:g}, operator not HPD")
         alpha = rs / p_op_p
         if results[0] is None:
-            x = x + alpha * p
-        r = r - alpha * op_p
+            x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, op_p, out=scratch)
         rs_new = float(np.real(np.vdot(r, r)))
         beta = rs_new / rs
-        p = r + beta * p
-        if rows:
-            zeta_new = zeta * zeta_old * alpha_old / (
-                alpha_old * zeta_old * (1 + alpha * shift) + alpha * beta_old * (zeta_old - zeta))
-            ratio = zeta_new / zeta
-            np.multiply(ps, (alpha * ratio)[col], out=scratch)
-            xs += scratch
-            ps *= (beta * ratio**2)[col]
-            np.multiply(r, zeta_new[col], out=scratch)
-            ps += scratch
-            zeta_old, zeta = zeta, zeta_new
+        np.add(r, np.multiply(beta, p, out=p), out=p)
+        for f in followers:
+            zeta_new = f.zeta * f.zeta_old * alpha_old / (
+                alpha_old * f.zeta_old * (1 + alpha * f.shift) + alpha * beta_old * (f.zeta_old - f.zeta))
+            ratio = zeta_new / f.zeta
+            f.x += np.multiply(f.p, alpha * ratio, out=scratch)
+            f.p *= beta * (ratio * ratio)
+            f.p += np.multiply(r, zeta_new, out=scratch)
+            f.zeta_old, f.zeta = f.zeta, zeta_new
         alpha_old, beta_old = alpha, beta
         rs = rs_new
         iters += 1
-        residual = np.sqrt(rs) / seed_norm
-    for i, j in enumerate(rows):  # capped at max_iters above tol
-        results[j] = CGResult(xs[i].copy(), f_res[i], iters)
+        root = math.sqrt(rs)
+        residual = root / seed_norm
+    for f in followers:  # capped at max_iters above tol
+        results[f.index] = CGResult(f.x, f.residual, iters)
     if results[0] is None:
         results[0] = CGResult(x, residual, iters)
     return results
@@ -195,7 +207,8 @@ def solve_p3_family(
         gram = normal_operator(op)
 
         def normal_op(v: np.ndarray) -> np.ndarray:
-            return g0 * gram(v) + v
+            out = gram(v)
+            return np.add(np.multiply(g0, out, out=out), v, out=out)
 
         shifts = [g0 / g - 1 for g in weights[1:]]
         solved.update(zip(weights, _shifted_cg(normal_op, rhs, x_dot, cfg, shifts)))

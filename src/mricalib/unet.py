@@ -201,17 +201,27 @@ def _relu(x, want_cache):
 
 
 def _pool2(x):
-    B, C, H, W = x.shape
-    return x.reshape(B, C, H // 2, 2, W // 2, 2).mean(axis=(3, 5))
+    """2x2 mean pooling as ((a00 + a01) + (a10 + a11)) / 4 over the four strided slices.
+
+    That order is pinned: it is the order of numpy's reshape(..., 2, ..., 2).mean(axis=(3, 5)),
+    which the result equals bit for bit.
+    """
+    return _up2_bwd(x) / 4.0
 
 
 def _up2(x):
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    """Each pixel copied into its 2x2 block, one strided slice at a time."""
+    B, C, H, W = x.shape
+    out = np.empty((B, C, 2 * H, 2 * W), dtype=x.dtype)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, :, i::2, j::2] = x
+    return out
 
 
 def _up2_bwd(dy):
-    B, C, H, W = dy.shape
-    return dy.reshape(B, C, H // 2, 2, W // 2, 2).sum(axis=(3, 5))
+    """Sum of each 2x2 block, (a00 + a01) + (a10 + a11), in _pool2's pinned order."""
+    return (dy[:, :, 0::2, 0::2] + dy[:, :, 0::2, 1::2]) + (dy[:, :, 1::2, 0::2] + dy[:, :, 1::2, 1::2])
 
 
 def low_band(feat: np.ndarray, cutoff: float) -> np.ndarray:

@@ -30,6 +30,9 @@ from mricalib.unet import (
     _decode,
     _encode,
     _forward,
+    _pool2,
+    _up2,
+    _up2_bwd,
 )
 
 TINY = UNetArch(widths=(3, 4), bottleneck=5, emb_steps=6)
@@ -176,6 +179,30 @@ def _check_conv_bit_identical(batch, cin, cout, height, width, kernel):
     got = (_conv2d_bwd_input(dy, w), *_conv2d_bwd_weights(dy, cache))
     for got, want in zip(got, _ref_conv2d_bwd(dy, xp, w)):
         assert np.array_equal(got, want)
+
+
+def _c8_pool_shapes(size=64):
+    """(channels, side) of every 2x2 pooling the acceptance prior runs (one per encoder level)
+    and of every upsampling it differentiates through (the up slice of each decoder level)."""
+    shapes = set()
+    for i, skip in enumerate(C8.widths):
+        cin = C8.param_shapes()[f"dec{i}.c1.w"][1]
+        shapes |= {(skip, size >> i), (cin - skip, size >> i)}
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])  # inference, training
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("channels,side", _c8_pool_shapes())
+def test_pooling_matches_reshape_reference_on_prior_shapes(channels, side, batch, dtype):
+    """Pooling, upsampling and its adjoint by strided slices equal numpy's reshape and repeat
+    forms bit for bit, dtype included."""
+    rng = np.random.default_rng(channels * 1000 + side)
+    x = rng.standard_normal((batch, channels, side, side)).astype(dtype)
+    blocks = x.reshape(batch, channels, side // 2, 2, side // 2, 2)
+    for got, want in ((_pool2(x), blocks.mean(axis=(3, 5))), (_up2_bwd(x), blocks.sum(axis=(3, 5))),
+                      (_up2(x), np.repeat(np.repeat(x, 2, axis=2), 2, axis=3))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
