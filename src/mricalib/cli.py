@@ -112,15 +112,17 @@ def _build_prior(args: argparse.Namespace, shape: tuple[int, int]):
             return GaussianPrior(mean, spectrum)
         except InvalidArgumentError as exc:
             raise FormatError(f"prior {args.prior_mean}, {args.prior_spectrum}: {exc}") from exc
-    if args.prior == "unet":
-        if not args.weights:
-            raise InvalidArgumentError("--prior unet needs --weights")
-        weights = load_weights(args.weights)
-        try:
-            return UNetScorePrior(weights)
-        except InvalidArgumentError as exc:
-            raise FormatError(f"weights {args.weights}: {exc}") from exc
-    raise InvalidArgumentError(f"unknown prior {args.prior!r}")
+    # "unet", the parser's last choice
+    if not args.weights:
+        raise InvalidArgumentError("--prior unet needs --weights")
+    weights = load_weights(args.weights)
+    side = 1 << weights.arch.layer_count
+    if shape[0] % side or shape[1] % side:
+        raise FormatError(f"weights {args.weights}: image sides {shape} not divisible by {side}")
+    try:
+        return UNetScorePrior(weights)
+    except InvalidArgumentError as exc:
+        raise FormatError(f"weights {args.weights}: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -80,16 +80,13 @@ def _acs_band(n: int, fraction: float) -> tuple[int, int]:
 
 
 def _spread_over(candidates: np.ndarray, n_pick: int) -> np.ndarray:
-    """Pick n_pick near-equispaced entries of a sorted candidate list."""
+    """Pick n_pick near-equispaced entries of a sorted candidate list; fewer picks than
+    candidates lie more than 1 apart, so no two positions round to the same one."""
     if n_pick <= 0:
         return candidates[:0]
     if n_pick >= candidates.size:
         return candidates
-    pos = np.unique(np.round(np.linspace(0, candidates.size - 1, n_pick)).astype(int))
-    if pos.size < n_pick:  # rounding collisions; top up with unused slots
-        unused = np.setdiff1d(np.arange(candidates.size), pos)
-        pos = np.sort(np.concatenate([pos, unused[: n_pick - pos.size]]))
-    return candidates[pos]
+    return candidates[np.round(np.linspace(0, candidates.size - 1, n_pick)).astype(int)]
 
 
 def generate_mask(

@@ -26,11 +26,13 @@ FFT.
 Everything is plain numpy.  Inference (`UNetScorePrior`, `unet_forward`)
 runs in float32 on weights cast once, within 1e-5 relative of the float64
 walk; training, `dsm_loss` and the weight files stay float64.  The layer
-primitives compute in the dtype of their input.  Training is denoising
-score matching with hand-derived convolution gradients and plain SGD; the
-calibration gradient (the pullback of `UNetScorePrior.linearize`) runs the
-same backward without the weight halves, from the decoder walk of the same
-call, and stops at the skips.
+code computes in its input's dtype, reads kernels from the weights, and
+fills the cache dict its caller passes (None keeps none) with padded conv
+inputs and ReLU masks.  Training is denoising score matching with hand-
+derived convolution gradients and plain SGD; the calibration gradient (the
+pullback of `UNetScorePrior.linearize`) runs the same backward without the
+weight halves, from the decoder walk of the same call, and stops at the
+skips.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def init_weights(arch: UNetArch, seed: int = 0) -> UNetWeights:
 # ---------------------------------------------------------------------------
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, want_cache: bool):
+def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Same-padded 2-D convolution, one GEMM per sample.  x: (B, Cin, H, W).
 
     The GEMM multiplies every tap's (Cout, Cin) kernel slice with the
@@ -137,7 +139,7 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, want_cache: bool
     into a zeroed accumulator in row-major tap order, and the bias last.
     Each output is therefore the same sum, in the same order, as one GEMM
     per tap over shifted input windows, so the result is bit-identical to
-    that form.  `b` None skips the bias.
+    that form.  Returns y and xp, the padded input `_conv2d_bwd_weights` reads.
     """
     B, Cin, H, W = x.shape
     Cout, _, k, _ = w.shape
@@ -152,10 +154,8 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, want_cache: bool
         for i in range(k):
             for j in range(k):
                 y[n] += taps[i, j, :, i : i + H, j : j + W]
-    if b is not None:
-        y += b[None, :, None, None]
-    cache = (xp, w) if want_cache else None
-    return y, cache
+    y += b[None, :, None, None]
+    return y, xp
 
 
 def _conv2d_bwd_input(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -182,9 +182,8 @@ def _conv2d_bwd_input(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dxp[:, :, p : p + H, p : p + W]
 
 
-def _conv2d_bwd_weights(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel and bias gradients of `_conv2d`, from its cache."""
-    xp, w = cache
+def _conv2d_bwd_weights(dy: np.ndarray, xp: np.ndarray, w: np.ndarray):
+    """Kernel and bias gradients of `_conv2d` with kernel w, from its padded input xp."""
     H, W = dy.shape[2:]
     k = w.shape[2]
     dw = np.empty_like(w)
@@ -193,11 +192,6 @@ def _conv2d_bwd_weights(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray]:
             patch = xp[:, :, i : i + H, j : j + W]
             dw[:, :, i, j] = np.tensordot(dy, patch, axes=([0, 2, 3], [0, 2, 3]))
     return dw, dy.sum(axis=(0, 2, 3))
-
-
-def _relu(x, want_cache):
-    y = np.maximum(x, 0.0)
-    return y, (x > 0) if want_cache else None
 
 
 def _pool2(x):
@@ -267,32 +261,33 @@ def _block(name: str, h: np.ndarray, weights: UNetWeights, cache: dict | None = 
            add: np.ndarray | None = None) -> np.ndarray:
     """Conv c1, plus `add` if given (the bottleneck's embedding), ReLU, conv c2, ReLU.
 
-    A cache keeps (c1, r1, c2, r2) for `_block_bwd`.
+    A cache keeps (xp1, r1, xp2, r2) for `_block_bwd`: padded conv inputs, ReLU output masks.
     """
     P = weights.params
-    want_cache = cache is not None
-    h, c1 = _conv2d(h, P[f"{name}.c1.w"], P[f"{name}.c1.b"], want_cache)
+    h, xp1 = _conv2d(h, P[f"{name}.c1.w"], P[f"{name}.c1.b"])
     if add is not None:
         h = h + add
-    h, r1 = _relu(h, want_cache)
-    h, c2 = _conv2d(h, P[f"{name}.c2.w"], P[f"{name}.c2.b"], want_cache)
-    h, r2 = _relu(h, want_cache)
-    if want_cache:
-        cache[name] = (c1, r1, c2, r2)
+    h = np.maximum(h, 0.0)
+    r1 = h > 0 if cache is not None else None
+    h, xp2 = _conv2d(h, P[f"{name}.c2.w"], P[f"{name}.c2.b"])
+    h = np.maximum(h, 0.0)
+    if cache is not None:
+        cache[name] = (xp1, r1, xp2, h > 0)
     return h
 
 
-def _block_bwd(name: str, dh: np.ndarray, cache: dict, grads: dict | None = None,
-               inputs: slice = slice(None)):
+def _block_bwd(name: str, dh: np.ndarray, cache: dict, weights: UNetWeights,
+               grads: dict | None = None, inputs: slice = slice(None)):
     """Backward of `_block`, weight gradients into `grads` if given; returns the gradients at
     its `inputs` channels and at c1's output."""
-    c1, r1, c2, r2 = cache[name]
+    xp1, r1, xp2, r2 = cache[name]
+    w1, w2 = weights.params[f"{name}.c1.w"], weights.params[f"{name}.c2.w"]
     d_c2 = dh * r2
-    d_c1 = _conv2d_bwd_input(d_c2, c2[1]) * r1
+    d_c1 = _conv2d_bwd_input(d_c2, w2) * r1
     if grads is not None:
-        grads[f"{name}.c2.w"], grads[f"{name}.c2.b"] = _conv2d_bwd_weights(d_c2, c2)
-        grads[f"{name}.c1.w"], grads[f"{name}.c1.b"] = _conv2d_bwd_weights(d_c1, c1)
-    return _conv2d_bwd_input(d_c1, c1[1][:, inputs]), d_c1
+        grads[f"{name}.c2.w"], grads[f"{name}.c2.b"] = _conv2d_bwd_weights(d_c2, xp2, w2)
+        grads[f"{name}.c1.w"], grads[f"{name}.c1.b"] = _conv2d_bwd_weights(d_c1, xp1, w1)
+    return _conv2d_bwd_input(d_c1, w1[:, inputs]), d_c1
 
 
 def _encode(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict | None = None):
@@ -320,9 +315,9 @@ def _decode(h: np.ndarray, skips: list[np.ndarray], weights: UNetWeights,
     the head conv.  A cache keeps what `_decode_bwd` needs."""
     for i in reversed(range(weights.arch.layer_count)):
         h = _block(f"dec{i}", np.concatenate([_up2(h), skips[i]], axis=1), weights, cache)
-    out, ch = _conv2d(h, weights.params["head.w"], weights.params["head.b"], cache is not None)
+    out, xp = _conv2d(h, weights.params["head.w"], weights.params["head.b"])
     if cache is not None:
-        cache["head"] = ch
+        cache["head"] = xp
     return out
 
 
@@ -335,40 +330,40 @@ def _decode_bwd(dout: np.ndarray, cache: dict, weights: UNetWeights, grads: dict
     """
     dh = _conv2d_bwd_input(dout, weights.params["head.w"])
     if grads is not None:
-        grads["head.w"], grads["head.b"] = _conv2d_bwd_weights(dout, cache["head"])
+        grads["head.w"], grads["head.b"] = _conv2d_bwd_weights(dout, cache["head"],
+                                                               weights.params["head.w"])
     dskips = []
     for i, skip_ch in enumerate(weights.arch.widths):
         skip_only = grads is None and i == weights.arch.layer_count - 1
-        dh, _ = _block_bwd(f"dec{i}", dh, cache, grads,
+        dh, _ = _block_bwd(f"dec{i}", dh, cache, weights, grads,
                            slice(-skip_ch, None) if skip_only else slice(None))
         dskips.append(dh[:, -skip_ch:])  # the joined input is [up, skip]
         dh = None if skip_only else _up2_bwd(dh[:, :-skip_ch])
     return dh, dskips
 
 
-def _forward(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, want_cache: bool = False):
+def _forward(x: np.ndarray, t_idx: np.ndarray, weights: UNetWeights, cache: dict | None = None):
     """Batched uncalibrated pass for training.  x: (B, IN_CHANNELS, H, W); t_idx: (B,) int.
-
-    Returns (out, cache); `want_cache` keeps what `_backward` needs.
-    """
+    A cache keeps what `_backward` needs."""
     t_idx = np.asarray(t_idx, dtype=np.int64)
     _check_input(x.shape, t_idx, weights.arch)
-    cache: dict = {"t_idx": t_idx} if want_cache else None
+    if cache is not None:
+        cache["t_idx"] = t_idx
     h, skips = _encode(x, t_idx, weights, cache)
-    return _decode(h, skips, weights, cache), cache
+    return _decode(h, skips, weights, cache)
 
 
-def _backward(dout: np.ndarray, cache, weights: UNetWeights) -> dict[str, np.ndarray]:
+def _backward(dout: np.ndarray, cache: dict, weights: UNetWeights) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. all parameters, from `_forward`'s cache.
 
     The skip branch gradient flows through the raw skip tensor.
     """
     grads = {name: np.zeros_like(p) for name, p in weights.params.items()}
     dh, dskips = _decode_bwd(dout, cache, weights, grads)
-    dh, d_emb = _block_bwd("bot", dh, cache, grads)
+    dh, d_emb = _block_bwd("bot", dh, cache, weights, grads)
     np.add.at(grads["emb"], cache["t_idx"], d_emb.sum(axis=(2, 3)))
     for i in reversed(range(weights.arch.layer_count)):
-        dh, _ = _block_bwd(f"enc{i}", _up2(dh) / 4.0 + dskips[i], cache, grads)
+        dh, _ = _block_bwd(f"enc{i}", _up2(dh) / 4.0 + dskips[i], cache, weights, grads)
     return grads
 
 
@@ -444,8 +439,6 @@ class UNetScorePrior(ScorePrior):
             return np.zeros_like(x), lambda v: np.zeros(2 * L)
         cache: dict = {}
         eps_hat, skips, lows = self._walk(x, idx, validate_delta(delta, L), cache)
-        if lows is None:
-            lows = [low_band(s, W.arch.band_cutoff) for s in skips]
 
         def pullback(v):
             v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
@@ -466,7 +459,7 @@ class UNetScorePrior(ScorePrior):
 
     def _walk(self, x: np.ndarray, idx: int, delta, cache: dict | None = None):
         """The network's complex output for one (H, W) image at ladder index idx, the encoder's
-        skips, and their LOW bands if the walk modulated them (else None).
+        skips, and their LOW bands if the walk modulated them or kept a cache (else None).
 
         A vector of all ones runs as None; a cache keeps what `_decode_bwd` needs.
         """
@@ -482,8 +475,9 @@ class UNetScorePrior(ScorePrior):
         _check_input(x2.shape, t_idx, W.arch)
         h, skips = _encode(x2, t_idx, W)
         joined, lows = skips, None
-        if delta is not None:
+        if delta is not None or cache is not None:
             lows = [low_band(s, W.arch.band_cutoff) for s in skips]
+        if delta is not None:
             # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
             # Python floats, since an np.float64 scalar promotes float32
             joined = [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
@@ -578,7 +572,7 @@ def dsm_loss(
         for _ in range(DSM_DRAWS_PER_IMAGE):
             t = int(rng.integers(arch.emb_steps))
             eps = rng.standard_normal(x0.shape)
-            out, _ = _forward(x0 + sigmas[t] * eps, np.array([t]), weights)
+            out = _forward(x0 + sigmas[t] * eps, np.array([t]), weights)
             total += float(np.mean((out - eps) ** 2))
             count += 1
     return total / count
@@ -622,7 +616,8 @@ def train_toy_denoiser(
             t = rng.integers(arch.emb_steps, size=idx.size)
             eps = rng.standard_normal(x0.shape)
             x_in = x0 + sigmas[t][:, None, None, None] * eps
-            out, cache = _forward(x_in, t, weights, want_cache=True)
+            cache: dict = {}  # frees the previous batch's cache before this forward
+            out = _forward(x_in, t, weights, cache)
             dout = 2.0 * (out - eps) / out.size
             grads = _backward(dout, cache, weights)
             total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))

@@ -510,6 +510,31 @@ def test_bad_weight_value_exits_4(tmp_path, capsys, sim16, tiny_weights, value):
     assert not (out / "recon.bt").exists()
 
 
+def test_weights_deeper_than_the_grid_exit_4(tmp_path, capsys):
+    """A 3-level net needs image sides divisible by 8; on a 36 x 36 grid the weights file is
+    a format error, in reconstruct and ablate alike, and nothing is written."""
+    from mricalib.unet import UNetArch, init_weights, save_weights
+
+    weights = tmp_path / "w.bt"
+    save_weights(weights, init_weights(UNetArch(widths=(2, 2, 2), bottleneck=2, emb_steps=3)))
+    sim = tmp_path / "sim"
+    assert _run(["simulate", "--out-dir", str(sim), "--size", "36", "--coils", "1"]) == 0
+    capsys.readouterr()
+    runs = {
+        "reconstruct": ["--kspace", str(sim / "kspace.bt"), "--mask", str(sim / "mask.bt"),
+                        "--sens", str(sim / "sens.bt")],
+        "ablate": ["--cases", "1", "--size", "36", "--coils", "1"],
+    }
+    for command, inputs in runs.items():
+        out = tmp_path / command
+        code = _run([command, *inputs, "--out-dir", str(out), "--steps", "3",
+                     "--prior", "unet", "--weights", str(weights)])
+        assert code == 4, command
+        err = capsys.readouterr().err
+        assert "i/o error: " in err and str(weights) in err, err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--batch-size", "0"], ["--epochs", "-1"],
 ], ids=lambda extra: " ".join(extra))

@@ -46,6 +46,14 @@ def test_uniform1d_budget_and_acs_band():
     assert np.all(line[start : start + 26] == 1)  # contiguous 26-column center band
 
 
+@pytest.mark.parametrize("accel", [2, 3, 4, 8])
+def test_uniform1d_budget_over_widths(accel):
+    for width in range(8, 129):
+        bits = generate_mask("Uniform1D", 3, width, accel, 0.08).bits
+        assert np.all(bits == bits[0][None, :])  # columns constant
+        assert bits[0].sum() == round(width / accel), width
+
+
 def test_gaussian1d_budget_and_determinism():
     m1 = generate_mask("Gaussian1D", 64, 64, 8, 0.08, seed=5)
     m2 = generate_mask("Gaussian1D", 64, 64, 8, 0.08, seed=5)

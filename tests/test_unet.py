@@ -173,10 +173,10 @@ def _check_conv_bit_identical(batch, cin, cout, height, width, kernel):
     w = rng.standard_normal((cout, cin, kernel, kernel))
     b = rng.standard_normal(cout)
     y_ref, xp = _ref_conv2d(x, w, b)
-    y, cache = _conv2d(x, w, b, True)
+    y, xp_got = _conv2d(x, w, b)
     assert np.array_equal(y, y_ref)
     dy = rng.standard_normal(y.shape)
-    got = (_conv2d_bwd_input(dy, w), *_conv2d_bwd_weights(dy, cache))
+    got = (_conv2d_bwd_input(dy, w), *_conv2d_bwd_weights(dy, xp_got, w))
     for got, want in zip(got, _ref_conv2d_bwd(dy, xp, w)):
         assert np.array_equal(got, want)
 
@@ -258,7 +258,8 @@ def test_bad_delta_rejected():
 def test_backward_cache_needs_uncalibrated_forward():
     w = init_weights(TINY, seed=1)
     x2 = np.zeros((1, 2, 16, 16))
-    _, cache = _forward(x2, np.array([0]), w, want_cache=True)
+    cache: dict = {}
+    _forward(x2, np.array([0]), w, cache)
     assert "dec0" in cache and "dec1" in cache
 
 def test_indivisible_size_rejected():
@@ -387,10 +388,10 @@ def test_inference_runs_in_float32(monkeypatch):
     seen, bands = set(), []
     conv, band = unet._conv2d, unet.low_band
 
-    def recording_conv(x, w, b, want_cache):
-        y, cache = conv(x, w, b, want_cache)
+    def recording_conv(x, w, b):
+        y, xp = conv(x, w, b)
         seen.add((x.dtype, w.dtype, y.dtype))
-        return y, cache
+        return y, xp
 
     def recording_band(feat, cutoff):
         low = band(feat, cutoff)
@@ -427,10 +428,10 @@ def test_hand_gradients_match_finite_differences():
     target = rng.standard_normal((2, 2, 8, 8))
 
     def loss():
-        out, _ = _forward(x, t, w)
-        return 0.5 * float(np.sum((out - target) ** 2))
+        return 0.5 * float(np.sum((_forward(x, t, w) - target) ** 2))
 
-    out, cache = _forward(x, t, w, want_cache=True)
+    cache: dict = {}
+    out = _forward(x, t, w, cache)
     grads = _backward(out - target, cache, w)
 
     h = 1e-6
@@ -632,13 +633,31 @@ def test_training_arithmetic_is_float64():
     rng = np.random.default_rng(21)
     w = init_weights(TINY, seed=22)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
-    out, cache = _forward(rng.standard_normal((2, 2, 8, 8)), np.array([1, 4]), w, want_cache=True)
+    cache: dict = {}
+    out = _forward(rng.standard_normal((2, 2, 8, 8)), np.array([1, 4]), w, cache)
     grads = _backward(rng.standard_normal(out.shape), cache, w)
     data = [make_phantom(PhantomSpec(size=8, seed=s)) for s in range(4)]
     trained = train_toy_denoiser(data, epochs=1, seed=23, arch=TINY, batch_size=2)
     got = (digest(out), digest(*(grads[k] for k in sorted(grads))),
            digest(*(trained.params[k] for k in sorted(trained.params))))
     assert got in TRAINING_DIGESTS.values()
+
+
+# repr of dsm_loss in test_dsm_loss_is_pinned, one row per OpenBLAS kernel family, recorded
+# on one BLAS thread before the U-Net's caches moved to their callers.
+DSM_LOSS_DIGESTS = {
+    "SkylakeX": "1.2238715524690857",
+    "Haswell, Zen": "1.2238715524690857",
+    "Sandybridge": "1.223871552469086",
+}
+
+
+def test_dsm_loss_is_pinned():
+    rng = np.random.default_rng(24)
+    w = init_weights(TINY, seed=25)
+    w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
+    held = [make_phantom(PhantomSpec(size=16, seed=60 + s)) for s in range(2)]
+    assert repr(dsm_loss(w, held, seed=26)) in DSM_LOSS_DIGESTS.values()
 
 
 def test_empty_dataset_rejected():
