@@ -101,15 +101,11 @@ def delta_penalty(delta: np.ndarray) -> float:
 class DeltaOptState:
     delta: np.ndarray
     iteration: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    m: np.ndarray | float = 0.0  # a scalar zero until the first step broadcasts it
+    v: np.ndarray | float = 0.0
 
     def __post_init__(self):
         self.delta = clamp_delta(self.delta)
-        if self.m is None:
-            self.m = np.zeros_like(self.delta)
-        if self.v is None:
-            self.v = np.zeros_like(self.delta)
 
 
 def update_delta(state: DeltaOptState, value: float, grad: np.ndarray,

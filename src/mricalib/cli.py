@@ -189,8 +189,11 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     try:  # any malformed part, down to a field trace_columns cannot format; OSError passes
         with open(args.report) as fh:
             data = json.load(fh)
-        text = trace_columns([StepRecord(**{**r, "delta": np.asarray(r["delta"], dtype=np.float64)})
-                              for r in data["records"]])
+        records = [StepRecord(**{**r, "delta": np.asarray(r["delta"], dtype=np.float64)})
+                   for r in data["records"]]
+        if len({rec.delta.shape for rec in records}) > 1:  # one header names every column
+            raise ValueError("records carry calibration vectors of different lengths")
+        text = trace_columns(records)
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise FormatError(f"malformed report {args.report}: {exc!r}") from exc
     if args.out:

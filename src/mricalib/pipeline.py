@@ -14,7 +14,9 @@ Each reverse step runs, in order:
    weight walk runs, its two probe weights, from one CG sequence;
 3. risk (while the walk runs): denoise x + eps mu once and solve it for
    the probe weights, estimate the risk at each probe from those images,
-   and step gamma, with its sliding-window stop;
+   and step gamma from the two values; the loop keeps the history of
+   their means and freezes gamma for good at the first step whose
+   sliding-window measure of it drops below tau_reg;
 4. renoise: move x_lambda from x_hat and x from its solve to the next
    noise level, with the same renoise seed.
 
@@ -187,7 +189,8 @@ def reconstruct(
     x_lambda = x  # reconstruction-set-only iterate, advanced only when calibrating
 
     records: list[StepRecord] = []
-    stopped_at: int | None = None
+    risk_history: list[float] = []  # loss_reg of every step the weight walk took
+    stopped_at: int | None = None  # set once, and the weight walk is frozen from then on
 
     for t in range(cfg.steps, 0, -1):
         sigma = float(sigmas[t - 1])
@@ -208,28 +211,26 @@ def reconstruct(
             delta_state = update_delta(delta_state, loss_ssl, grad, cfg.delta_step)
 
         # denoise and fidelity: x at the updated vector, solved for gamma and the probe weights
-        walk = cfg.enable_rpa and not reg_state.stopped
-        weights = (gamma, *probe_weights(gamma)) if walk else (gamma,)
+        walk = cfg.enable_rpa and stopped_at is None
+        probes = probe_weights(gamma) if walk else ()
         denoised = tweedie_denoise(x, sigma, prior, delta_state.delta)
-        solved = dict(zip(weights, solve_p3_family(denoised, x_zf, op, weights, cfg.cg)))
-        p3 = solved[gamma]
+        p3, *solved = solve_p3_family(denoised, x_zf, op, (gamma, *probes), cfg.cg)
 
         # risk: x + eps mu denoised and solved for the probe weights, one estimate per probe
         loss_reg = None
         conv = None
         if walk:
-            probes = weights[1:]
             eps = max(SURE_EPS_SCALE * float(np.max(np.abs(x))), 1e-12)
             mu = draw_direction(x, (cfg.seed_mc, t))
             perturbed = tweedie_denoise(x + eps * mu, sigma, prior, delta_state.delta)
-            solved_eps = dict(zip(probes, solve_p3_family(perturbed, x_zf, op, probes, cfg.cg)))
-            risk = {w: sure_loss(x_zf, solved[w].x, solved_eps[w].x, mu, eps) for w in probes}
-            reg_state = update_gamma(reg_state, risk.__getitem__, cfg.gamma_step)
-            gamma = reg_state.gamma
-            loss_reg = reg_state.loss_history[-1]
-            conv = convergence_criterion(reg_state.loss_history, cfg.window)
+            solved_eps = solve_p3_family(perturbed, x_zf, op, probes, cfg.cg)
+            f_plus, f_minus = (sure_loss(x_zf, h.x, h_eps.x, mu, eps)
+                               for h, h_eps in zip(solved, solved_eps))
+            gamma = update_gamma(reg_state, f_plus, f_minus, cfg.gamma_step).gamma
+            loss_reg = float(np.mean([f_plus, f_minus]))
+            risk_history.append(loss_reg)
+            conv = convergence_criterion(risk_history, cfg.window)
             if conv is not None and conv < cfg.tau_reg:
-                reg_state.stopped = True
                 stopped_at = t
 
         sigma_next = float(sigmas[t - 2]) if t >= 2 else 0.0

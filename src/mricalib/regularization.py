@@ -11,14 +11,16 @@ The objective is the product form
 with N the pixel count.  `sure_loss` takes the two images h(gamma; x) and
 h(gamma; x + eps mu); `pipeline.reconstruct` builds them.
 
-Updates walk log(gamma) with a derivative-free central difference and
-adaptive-moment smoothing, and stop permanently once a sliding-window
-convergence measure drops below threshold.
+`update_gamma` steps log(gamma) from the two risk values at
+`probe_weights(gamma)`, a central difference smoothed by adaptive moments.
+The walk keeps no history and never stops itself: `pipeline.reconstruct`
+keeps the risk history and freezes the walk for good once
+`convergence_criterion` of it drops below threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,8 +89,6 @@ def sure_loss(
 class RegAdaptState:
     gamma: float
     iteration: int = 0
-    stopped: bool = False
-    loss_history: list[float] = field(default_factory=list)
     m: float = 0.0
     v: float = 0.0
 
@@ -120,12 +120,10 @@ def moment_step(state, evals: list[float], grad, step_size: float, b1: float):
 
 
 def probe_weights(gamma: float) -> tuple[float, float]:
-    """The two weights at which update_gamma evaluates the objective, in its order.
+    """The two weights (gamma_plus, gamma_minus) whose risk values update_gamma takes.
 
     They are gamma * e^(+GAMMA_FD_STEP) and gamma * e^(-GAMMA_FD_STEP), each
-    clamped to GAMMA_BOUNDS, so at a bound one of them equals gamma.  A
-    caller that solves for every weight of a step ahead of the walk asks
-    here which weights the walk will request.
+    clamped to GAMMA_BOUNDS, so at a bound one of them equals gamma.
     """
     u, h = np.log(gamma), GAMMA_FD_STEP
     return float(np.exp(min(u + h, _LOG_HI))), float(np.exp(max(u - h, _LOG_LO)))
@@ -133,26 +131,21 @@ def probe_weights(gamma: float) -> tuple[float, float]:
 
 def update_gamma(
     state: RegAdaptState,
-    loss_fn: Callable[[float], float],
+    f_plus: float,
+    f_minus: float,
     step_size: float,
 ) -> RegAdaptState:
-    """One adaptive-moment step on log(gamma); a no-op once stopped.
+    """One adaptive-moment step on log(gamma) from the objective's values at
+    probe_weights(state.gamma), in that order; mutates and returns the state.
 
-    step_size and the probe size GAMMA_FD_STEP are both measured in log(gamma);
-    loss_fn is evaluated at probe_weights(state.gamma), in that order.
+    step_size and the probe size GAMMA_FD_STEP are both measured in log(gamma).
     """
-    if state.stopped:
-        return state
     u, h = np.log(state.gamma), GAMMA_FD_STEP
     lo, hi = _LOG_LO, _LOG_HI
-    g_plus, g_minus = probe_weights(state.gamma)
-    f_plus = loss_fn(g_plus)
-    f_minus = loss_fn(g_minus)
     # divide by the clamped width, in a form that is exactly 2h where neither probe is clamped
     grad = (f_plus - f_minus) / (2 * h - max(u + h - hi, 0.0) - max(lo - (u - h), 0.0))
     # short-horizon walk over a noisy 1-D objective: modest momentum
     step = moment_step(state, [f_plus, f_minus], grad, step_size, b1=0.7)
-    state.loss_history.append(float(np.mean([f_plus, f_minus])))
     state.gamma = float(np.exp(np.clip(u - step, lo, hi)))
     return state
 

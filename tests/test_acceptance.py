@@ -19,7 +19,6 @@ from mricalib import (
     GaussianPrior,
     PhantomSpec,
     ReconConfig,
-    RegAdaptState,
     apply_adjoint,
     apply_forward,
     build_schedule,
@@ -37,7 +36,6 @@ from mricalib import (
     solve_p3,
     synth_coil_maps,
     tweedie_denoise,
-    update_gamma,
     white_prior,
 )
 from mricalib.unet import UNetArch, UNetScorePrior, train_toy_denoiser
@@ -222,23 +220,33 @@ def test_criterion_7_early_stopping():
     # hand case: windows (4+4) then (2+2)
     assert convergence_criterion([4.0, 4.0, 2.0, 2.0], 2) == 0.5
 
-    # constant history at the stated defaults: E = 0 < 0.001 -> permanent freeze
+    # constant history at the stated defaults: E = 0 < 0.001
     defaults = ReconConfig()
     assert (defaults.window, defaults.tau_reg) == (5, 0.001)
-    state = RegAdaptState(gamma=1.0)
-    state.loss_history = [3.0] * 10
-    e_val = convergence_criterion(state.loss_history, defaults.window)
+    e_val = convergence_criterion([3.0] * 10, defaults.window)
     assert e_val == 0.0
     assert e_val < defaults.tau_reg
-    state.stopped = True
-    frozen = state.gamma
-    for _ in range(5):
-        state = update_gamma(state, lambda g: g**2, defaults.gamma_step)
-        assert state.gamma == frozen
-        assert len(state.loss_history) == 10
+
+    # a run at the default window and threshold freezes gamma for good at the first step
+    # whose E drops below the threshold
+    n = 32
+    op = ForwardOperator(generate_mask("Gaussian1D", n, n, 4, 0.08, seed=71),
+                         synth_coil_maps(2, n, n, seed=72))
+    y = apply_forward(make_phantom(PhantomSpec(size=n, seed=73)), op)
+    _, report = reconstruct(y, op, white_prior(n, n), ReconConfig(steps=20, enable_fpc=False))
+    assert report.stopped_at is not None
+    records = report.records
+    idx = next(i for i, rec in enumerate(records) if rec.t == report.stopped_at)
+    assert records[idx].conv_metric < defaults.tau_reg
+    assert all(rec.conv_metric is None or rec.conv_metric >= defaults.tau_reg
+               for rec in records[:idx])
+    assert records[0].gamma != defaults.gamma_init  # the walk stepped before it froze
+    assert all(rec.gamma == records[idx].gamma for rec in records[idx:])
+    assert all(rec.loss_reg is None for rec in records[idx + 1 :])
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    _report(7, f"E=0 freeze at defaults and hand value 0.5 reproduced ({elapsed:.2f}s)")
+    _report(7, f"E=0 below tau at defaults, gamma frozen from t={report.stopped_at} on, "
+               f"hand value 0.5 reproduced ({elapsed:.2f}s)")
 
 
 @pytest.mark.slow

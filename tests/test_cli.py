@@ -442,6 +442,17 @@ def test_malformed_report_exits_4(tmp_path, capsys):
     assert _run(["traces", "--report", str(report)]) == 4
 
 
+def test_ragged_report_exits_4(tmp_path, capsys):
+    """Records whose calibration vectors differ in length have no one header: exit 4."""
+    report = tmp_path / "report.json"
+    records = [VALID_RECORD, {**VALID_RECORD, "t": 2, "delta": [1.0, 0.5, 1.5, 2.0]}]
+    report.write_text(json.dumps({"stopped_at": None, "records": records}))
+    out = tmp_path / "t.txt"
+    assert _run(["traces", "--report", str(report), "--out", str(out)]) == 4
+    assert "malformed report" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_subcommand_matches_library_training(tmp_path):
     from mricalib.phantom import PhantomSpec, make_phantom
     from mricalib.unet import UNetArch, save_weights, train_toy_denoiser

@@ -20,6 +20,12 @@ def _sure(gamma, x_t, x_zf, h, eps, seed):
     return sure_loss(x_zf, h(gamma, x_t), h(gamma, x_t + eps * mu), mu, eps)
 
 
+def _walk(state, f, step_size):
+    """update_gamma fed the values of the objective f at the state's probe weights."""
+    g_plus, g_minus = probe_weights(state.gamma)
+    return update_gamma(state, f(g_plus), f(g_minus), step_size)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo divergence probe
 # ---------------------------------------------------------------------------
@@ -132,7 +138,7 @@ def test_sure_nonfinite_rejected():
 def test_gamma_descends_log_quadratic():
     state = RegAdaptState(gamma=float(np.e))
     for _ in range(20):
-        state = update_gamma(state, lambda g: np.log(g) ** 2, step_size=0.1)
+        state = _walk(state, lambda g: np.log(g) ** 2, step_size=0.1)
     assert abs(np.log(state.gamma)) < 0.2
 
 
@@ -144,25 +150,14 @@ def test_bad_initial_weight_rejected(gamma):
 
 @pytest.mark.parametrize("gamma", [2.0, GAMMA_BOUNDS[0], GAMMA_BOUNDS[1], 3e4])
 def test_walk_asks_for_the_probe_weights(gamma):
-    """update_gamma evaluates the objective at probe_weights(gamma), in that order; a weight
-    above the bounds starts the walk, and both its probes are then clamped differently."""
-    asked = []
-
-    def loss(g):
-        asked.append(g)
-        return float(np.log(g))
-
-    probes = probe_weights(gamma)
-    update_gamma(RegAdaptState(gamma=gamma), loss, step_size=0.1)
-    assert tuple(asked) == probes
-
-
-def test_stopped_state_is_frozen():
-    state = RegAdaptState(gamma=2.0, stopped=True)
-    out = update_gamma(state, lambda g: g**2, step_size=0.1)
-    assert out is state
-    assert out.gamma == 2.0
-    assert out.loss_history == []
+    """update_gamma reads its two values as the objective at probe_weights(gamma), in that
+    order: its gradient is their difference over the log-distance between those weights, also
+    where a bound clamps a probe and above the bounds, where the walk may start."""
+    f = lambda g: float(np.log(g) ** 2 + np.sin(g))
+    state = _walk(RegAdaptState(gamma=gamma), f, step_size=0.1)
+    g_plus, g_minus = probe_weights(gamma)
+    slope = (f(g_plus) - f(g_minus)) / (np.log(g_plus) - np.log(g_minus))
+    assert state.m == pytest.approx(0.3 * slope, rel=1e-9)
 
 
 def test_walks_reproduce_recorded_arithmetic():
@@ -180,17 +175,18 @@ def test_walks_reproduce_recorded_arithmetic():
 
     d_state = DeltaOptState(delta=np.array([0.02, 1.0, 1.995]))
     g_state = RegAdaptState(gamma=2.0)
-    d_values = []
+    d_values, g_means = [], []
     for _ in range(3):
         value, grad = f_delta(d_state.delta)
         d_values.append(value)
         d_state = update_delta(d_state, value, grad, step_size=0.05)
-        g_state = update_gamma(g_state, f_gamma, step_size=0.3)
+        g_means.append(float(np.mean([f_gamma(g) for g in probe_weights(g_state.gamma)])))
+        g_state = _walk(g_state, f_gamma, step_size=0.3)
     assert repr(d_state.delta.tolist()) == "[0.0, 1.1497128123582347, 1.84547351743518]"
     assert repr(d_values) == (
         "[3.174772935784501, 2.6213369696577136, 2.1121430705393838]")
     assert repr(g_state.gamma) == "2.0486489387758824"
-    assert repr(g_state.loss_history) == (
+    assert repr(g_means) == (
         "[0.20279701322195182, 0.24500753258678007, 0.19740020115247997]")
     assert (d_state.iteration, g_state.iteration) == (3, 3)
 
@@ -202,7 +198,7 @@ def test_gradient_whose_square_overflows_is_rejected(walk):
     if walk == "gamma":  # grad = 2e200 / 0.1, a Python float
         state = RegAdaptState(gamma=1.0)
         def step():
-            return update_gamma(state, lambda g: 1e200 if g > 1 else -1e200, step_size=0.1)
+            return _walk(state, lambda g: 1e200 if g > 1 else -1e200, step_size=0.1)
     else:  # grad = 1e200 in the first coordinate
         state = DeltaOptState(delta=np.ones(2))
         def step():
@@ -211,14 +207,14 @@ def test_gradient_whose_square_overflows_is_rejected(walk):
     with pytest.raises(NumericError, match="not finite"):
         step()
     assert state.iteration == 0
-    assert walk == "delta" or state.loss_history == []
+    assert walk == "delta" or state.gamma == 1.0
     assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
 
 def test_gamma_clamped_to_bounds():
     state = RegAdaptState(gamma=1.0)
     for _ in range(40):  # push down hard
-        state = update_gamma(state, lambda g: np.log(g), step_size=5.0)
+        state = _walk(state, lambda g: np.log(g), step_size=5.0)
         assert GAMMA_BOUNDS[0] <= state.gamma <= GAMMA_BOUNDS[1]
     assert state.gamma == pytest.approx(GAMMA_BOUNDS[0])
 
@@ -227,7 +223,7 @@ def test_gamma_clamped_to_bounds():
 def test_gamma_gradient_at_a_bound_uses_the_clamped_width(gamma):
     """At either bound one probe is clamped; the slope-1 objective log(gamma) still reads a
     gradient of 1, so the first moment after one step is (1 - b1) * 1 = 0.3."""
-    state = update_gamma(RegAdaptState(gamma=gamma), lambda g: float(np.log(g)), step_size=0.1)
+    state = _walk(RegAdaptState(gamma=gamma), lambda g: float(np.log(g)), step_size=0.1)
     assert state.m == pytest.approx(0.3, rel=1e-9)
 
 
