@@ -23,9 +23,10 @@ conv is one GEMM per sample whose tap outputs are added shifted,
 bit-identical to one GEMM per tap.  LOW runs on the half spectrum of a real
 FFT.
 
-Everything is plain numpy.  Inference (`UNetScorePrior`, `unet_forward`)
-runs in float32 on weights cast once, within 1e-5 relative of the float64
-walk; training, `dsm_loss` and the weight files stay float64.  The layer
+Everything is plain numpy.  `unet_forward` is the one inference walk and
+computes in its weights' dtype; `UNetScorePrior` runs it on float32
+weights cast once, within 1e-5 relative of the float64 walk.  Training,
+`dsm_loss` and the weight files stay float64.  The layer
 code computes in its input's dtype, reads kernels from the weights, and
 fills the cache dict its caller passes (None keeps none) with padded conv
 inputs and ReLU masks.  Training is denoising score matching with hand-
@@ -367,18 +368,40 @@ def _backward(dout: np.ndarray, cache: dict, weights: UNetWeights) -> dict[str, 
     return grads
 
 
-def unet_forward(
-    x: np.ndarray,
-    t: int,
-    delta: np.ndarray | None,
-    weights: UNetWeights,
-) -> np.ndarray:
-    """Run the network on one complex image; returns the complex 2-channel output.
+def unet_forward(x: np.ndarray, t: int, delta: np.ndarray | None, weights: UNetWeights,
+                 cache: dict | None = None) -> np.ndarray:
+    """The network's complex128 output for one (H, W) image at ladder index t.
 
-    This is `UNetScorePrior`'s float32 walk on a fresh prior.
+    The one inference walk, computed in the weights' dtype: the encoder, then the decoder on
+    the raw skips for None or the all-ones vector, else on each skip modulated by its level's
+    (alpha, beta).  So the identity is the uncalibrated network bit for bit, and an
+    uncalibrated walk without a cache computes no LOW band.  A cache keeps what `_decode_bwd`
+    needs, and the skips and their LOW bands under "skips" and "lows".
     """
+    arch = weights.arch
+    if delta is not None:
+        delta = validate_delta(delta, arch.layer_count)
+        if np.all(delta == 1.0):
+            delta = None  # the identity is the uncalibrated walk
     x = np.asarray(x, dtype=np.complex128)
-    return UNetScorePrior(weights)._walk(x, t, delta)[0]
+    if x.ndim != 2:
+        raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
+    x2 = np.stack([x.real, x.imag], dtype=weights.params["head.w"].dtype)[None]
+    t_idx = np.array([t], dtype=np.int64)
+    _check_input(x2.shape, t_idx, arch)
+    h, skips = _encode(x2, t_idx, weights)
+    joined = skips
+    if delta is not None or cache is not None:
+        lows = [low_band(s, arch.band_cutoff) for s in skips]
+        if cache is not None:
+            cache["skips"], cache["lows"] = skips, lows
+    if delta is not None:
+        # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
+        # Python floats, since an np.float64 scalar promotes float32
+        joined = [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
+                  for i, (s, low) in enumerate(zip(skips, lows))]
+    head = _decode(h, joined, weights, cache)
+    return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128)
 
 
 class UNetScorePrior(ScorePrior):
@@ -388,17 +411,12 @@ class UNetScorePrior(ScorePrior):
     network was trained on.  With `calibratable=False` the prior reports
     layer_count 0 and always runs the raw (unmodulated) forward pass.
 
-    `evaluate` and `linearize` run one walk: the encoder, then the decoder
-    on the raw skips for None or the all-ones vector, else on each skip
-    modulated by its level's (alpha, beta).  So the identity is the
-    uncalibrated network bit for bit, and an uncalibrated evaluation
-    computes no LOW band.  `linearize` keeps that walk's backward cache in
-    its pullback, which runs the decoder backward alone.
-
-    The network runs in float32 on a copy of the weights cast once here;
-    the output goes back to complex128 before it is returned, and
-    lies within 1e-5 relative of the float64 walk.  Later changes to the
-    caller's `weights.params` do not reach the prior, so build a new one.
+    `evaluate` and `linearize` each run `unet_forward`, the one inference
+    walk, on a float32 copy of the weights cast once here; the output goes
+    back to complex128 and lies within 1e-5 relative of the float64 walk.
+    `linearize` keeps that walk's cache in its pullback, which runs the
+    decoder backward alone.  Later changes to the caller's
+    `weights.params` do not reach the prior, so build a new one.
     """
 
     def __init__(self, weights: UNetWeights, calibratable: bool = True):
@@ -421,8 +439,7 @@ class UNetScorePrior(ScorePrior):
         idx = self._index(sigma)
         if idx is None:
             return np.zeros_like(x)
-        eps_hat, _, _ = self._walk(x, idx, delta if self.calibratable else None)
-        return -eps_hat / sigma
+        return -unet_forward(x, idx, delta if self.calibratable else None, self._weights) / sigma
 
     def linearize(self, x, sigma, delta):
         """`evaluate(x, sigma, delta)` and its pullback v -> Re<v, d evaluate / d delta_j> over j.
@@ -438,7 +455,8 @@ class UNetScorePrior(ScorePrior):
         if idx is None:
             return np.zeros_like(x), lambda v: np.zeros(2 * L)
         cache: dict = {}
-        eps_hat, skips, lows = self._walk(x, idx, validate_delta(delta, L), cache)
+        eps_hat = unet_forward(x, idx, validate_delta(delta, L), W, cache)
+        skips, lows = cache["skips"], cache["lows"]
 
         def pullback(v):
             v2 = np.stack([v.real, v.imag], dtype=np.float32)[None]
@@ -457,34 +475,6 @@ class UNetScorePrior(ScorePrior):
             raise InvalidArgumentError(f"sigma must be finite, got {sigma}")
         return None if sigma <= 0 else int(np.argmin(np.abs(self._sigmas - sigma)))
 
-    def _walk(self, x: np.ndarray, idx: int, delta, cache: dict | None = None):
-        """The network's complex output for one (H, W) image at ladder index idx, the encoder's
-        skips, and their LOW bands if the walk modulated them or kept a cache (else None).
-
-        A vector of all ones runs as None; a cache keeps what `_decode_bwd` needs.
-        """
-        W = self._weights
-        if delta is not None:
-            delta = validate_delta(delta, W.arch.layer_count)
-            if np.all(delta == 1.0):
-                delta = None  # the identity is the uncalibrated walk
-        if x.ndim != 2:
-            raise InvalidArgumentError(f"expected an (H, W) image, got shape {x.shape}")
-        x2 = np.stack([x.real, x.imag], dtype=np.float32)[None]
-        t_idx = np.array([idx], dtype=np.int64)
-        _check_input(x2.shape, t_idx, W.arch)
-        h, skips = _encode(x2, t_idx, W)
-        joined, lows = skips, None
-        if delta is not None or cache is not None:
-            lows = [low_band(s, W.arch.band_cutoff) for s in skips]
-        if delta is not None:
-            # layer numbering is shallow-first: (alpha_l, beta_l) at delta[2l], delta[2l+1];
-            # Python floats, since an np.float64 scalar promotes float32
-            joined = [_mix_bands(s, low, float(delta[2 * i]), float(delta[2 * i + 1]))
-                      for i, (s, low) in enumerate(zip(skips, lows))]
-        head = _decode(h, joined, W, cache)
-        return (head[0, 0] + 1j * head[0, 1]).astype(np.complex128), skips, lows
-
 
 # ---------------------------------------------------------------------------
 # weight I/O: flat float64 payload + plain-text architecture descriptor
@@ -496,13 +486,15 @@ def save_weights(path: str | os.PathLike, weights: UNetWeights) -> None:
     shapes = arch.param_shapes()
     flat = np.concatenate([weights.params[name].ravel() for name in shapes])
     write_tensor(path, flat)
-    # the line order of existing sidecars, so re-saving loaded weights gives the same bytes
-    lines = {"in_channels": IN_CHANNELS, "widths": arch.widths, "bottleneck": arch.bottleneck,
-             "kernel": KERNEL, **{f.name: getattr(arch, f.name) for f in fields(arch)}}
+    # the line order of existing sidecars, so re-saving loaded weights gives the same bytes;
+    # a value goes through its field's default's type, the rule load_weights reads with
+    text = {"in_channels": repr(IN_CHANNELS), "widths": "", "bottleneck": "", "kernel": repr(KERNEL)}
+    for f in fields(arch):
+        value = getattr(arch, f.name)
+        text[f.name] = (",".join(str(int(w)) for w in value) if isinstance(f.default, tuple)
+                        else repr(type(f.default)(value)))
     with open(f"{os.fspath(path)}.arch", "w") as fh:
-        for name, value in lines.items():
-            text = ",".join(str(w) for w in value) if isinstance(value, tuple) else repr(value)
-            fh.write(f"{name}={text}\n")
+        fh.writelines(f"{name}={value}\n" for name, value in text.items())
 
 
 def load_weights(path: str | os.PathLike) -> UNetWeights:

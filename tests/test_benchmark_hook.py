@@ -41,7 +41,8 @@ for name, wl in workloads.WORKLOADS.items():
 # the traced names each workload's call must reach
 WALK_NAMES = {
     "unet-selfcal": ["regularization.update_gamma", "regularization.sure_loss",
-                     "calibration.update_delta", "calibration.ssl_loss"],
+                     "calibration.update_delta", "calibration.ssl_loss",
+                     "unet.unet_forward", "unet.low_band"],
     "oracle-fidelity": ["regularization.update_gamma"],
     "train-prior": [],
 }

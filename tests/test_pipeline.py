@@ -35,7 +35,7 @@ from mricalib import (
 from mricalib import pipeline, unet
 from mricalib.errors import InvalidArgumentError, NumericError
 from mricalib.fourier import fft2c, ifft2c
-from mricalib.unet import UNetArch, UNetScorePrior, init_weights, unet_forward
+from mricalib.unet import UNetArch, UNetScorePrior, UNetWeights, init_weights, unet_forward
 
 
 def _problem(n=32, coils=2, accel=4, seed=0, noise=0.0):
@@ -316,10 +316,12 @@ def test_calibration_gradient_matches_finite_differences(monkeypatch):
 
 
 class _FreshUNetPrior(ScorePrior):
-    """The U-Net score without any reuse: one full unet_forward per evaluation."""
+    """The U-Net score without any reuse: one full unet_forward per evaluation, on the weights
+    cast to float32 as `UNetScorePrior` casts them."""
 
     def __init__(self, weights):
-        self.weights = weights
+        self.weights = UNetWeights(
+            weights.arch, {name: p.astype(np.float32) for name, p in weights.params.items()})
         self.layer_count = weights.arch.layer_count
         self._sigmas = weights.arch.sigma_ladder()
 

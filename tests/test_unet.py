@@ -7,6 +7,7 @@ import pytest
 from mricalib import (
     UNetArch,
     UNetScorePrior,
+    UNetWeights,
     build_schedule,
     dsm_loss,
     init_weights,
@@ -27,8 +28,6 @@ from mricalib.unet import (
     _conv2d,
     _conv2d_bwd_input,
     _conv2d_bwd_weights,
-    _decode,
-    _encode,
     _forward,
     _pool2,
     _up2,
@@ -306,19 +305,9 @@ def _reference_forward(x, t, delta, weights):
     return out[0, 0] + 1j * out[0, 1]
 
 
-def _f64_walk(x, t, delta, weights):
-    """`UNetScorePrior`'s walk run in float64 with float64 weights and nothing reused:
-    modulate_bands on the skips for a calibration vector, the raw skips for None or all
-    ones, then the decoder.  The reference for the float32 prior."""
-    arch = weights.arch
-    if delta is not None and np.all(delta == 1.0):
-        delta = None
-    h, skips = _encode(np.stack([x.real, x.imag])[None], np.array([t]), weights)
-    if delta is not None:
-        skips = [modulate_bands(s, delta[2 * i], delta[2 * i + 1], arch.band_cutoff)
-                 for i, s in enumerate(skips)]
-    head = _decode(h, skips, weights)
-    return head[0, 0] + 1j * head[0, 1]
+def _float32(weights):
+    """The weights cast to float32, as `UNetScorePrior` casts them."""
+    return UNetWeights(weights.arch, {n: p.astype(np.float32) for n, p in weights.params.items()})
 
 
 def _assert_f32_close(got, want):
@@ -329,19 +318,20 @@ def _assert_f32_close(got, want):
 
 
 def test_calibrated_walk_is_the_concatenated_form():
-    """The float64 walk is the concatenated form bit for bit for None and every vector but
-    all ones, which joins the raw skips where the form modulates by 1 and agrees to 1e-13;
-    the float32 network stays within F32_RTOL of it."""
+    """unet_forward on float64 weights is the concatenated form bit for bit for None and
+    every vector but all ones, which joins the raw skips where the form modulates by 1 and
+    agrees to 1e-13; on float32 weights it stays within F32_RTOL of it, and the prior's
+    evaluation is that float32 walk bit for bit."""
     rng = np.random.default_rng(13)
     arch = UNetArch(widths=(3, 4, 4), bottleneck=5, emb_steps=6)
     w = init_weights(arch, seed=14)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
     x = _rand_image(rng)
     sigma = float(arch.sigma_ladder()[2])
-    prior = UNetScorePrior(w)
+    prior, w32 = UNetScorePrior(w), _float32(w)
 
-    assert np.array_equal(_f64_walk(x, 2, None, w), _reference_forward(x, 2, None, w))
-    _assert_f32_close(unet_forward(x, 2, None, w), _reference_forward(x, 2, None, w))
+    assert np.array_equal(unet_forward(x, 2, None, w), _reference_forward(x, 2, None, w))
+    _assert_f32_close(unet_forward(x, 2, None, w32), _reference_forward(x, 2, None, w))
 
     base = np.array([1.0, 0.9, 1.1, 1.0, 0.8, 1.2])
     probes = [base, np.zeros(6), np.full(6, 2.0), np.ones(6)]
@@ -352,12 +342,12 @@ def test_calibrated_walk_is_the_concatenated_form():
             probes.append(probe)
     for delta in probes:
         want = _reference_forward(x, 2, delta, w)
-        walked = _f64_walk(x, 2, delta, w)
+        walked = unet_forward(x, 2, delta, w)
         if np.all(delta == 1.0):
             assert np.max(np.abs(walked - want)) <= 1e-13 * np.max(np.abs(want))
         else:
             assert np.array_equal(walked, want), delta
-        got = unet_forward(x, 2, delta, w)
+        got = unet_forward(x, 2, delta, w32)
         _assert_f32_close(got, want)
         assert np.array_equal(prior.evaluate(x, sigma, delta), -got / sigma)
 
@@ -377,14 +367,15 @@ def test_float32_prior_matches_float64_walk_on_prior_shapes(calibratable):
         x = clean + sigmas[idx] * _rand_image(rng, 64)
         for delta in deltas:
             used = delta if calibratable else None
-            want = _f64_walk(x, idx, used, w)
+            want = unet_forward(x, idx, used, w)
             _assert_f32_close(-sigmas[idx] * prior.evaluate(x, float(sigmas[idx]), delta), want)
-            _assert_f32_close(unet_forward(x, idx, used, w), want)
+            _assert_f32_close(unet_forward(x, idx, used, _float32(w)), want)
 
 
-def test_inference_runs_in_float32(monkeypatch):
-    """Every conv's input, kernel and output and every LOW band are float32, calibrated or
-    not, in evaluate and linearize alike; the score and the pullback's input are complex128."""
+@pytest.fixture
+def dtype_recorder(monkeypatch):
+    """Records every conv's (input, kernel, output) dtypes in a set and every LOW band's
+    (input, output) dtypes in a list."""
     seen, bands = set(), []
     conv, band = unet._conv2d, unet.low_band
 
@@ -400,6 +391,13 @@ def test_inference_runs_in_float32(monkeypatch):
 
     monkeypatch.setattr(unet, "_conv2d", recording_conv)
     monkeypatch.setattr(unet, "low_band", recording_band)
+    return seen, bands
+
+
+def test_inference_runs_in_float32(dtype_recorder):
+    """Every conv's input, kernel and output and every LOW band are float32, calibrated or
+    not, in evaluate and linearize alike; the score and the pullback's input are complex128."""
+    seen, bands = dtype_recorder
     rng = np.random.default_rng(20)
     w = init_weights(TINY, seed=21)
     prior = UNetScorePrior(w)
@@ -413,6 +411,26 @@ def test_inference_runs_in_float32(monkeypatch):
     assert len(bands) == 2 * 2 + 2 * 2  # two calibrated evaluations and two linearizations
     assert set(bands) == {(np.dtype(np.float32),) * 2}
     assert seen == {(np.dtype(np.float32),) * 3}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_unet_forward_computes_in_its_weights_dtype(dtype_recorder, dtype):
+    """unet_forward runs every conv and every LOW band in its weights' dtype, with and
+    without a calibration vector and a cache, and returns complex128; a cache keeps the
+    skips and their LOW bands in that dtype too."""
+    seen, bands = dtype_recorder
+    rng = np.random.default_rng(25)
+    w = init_weights(TINY, seed=26)
+    w = w if dtype == np.float64 else _float32(w)
+    x = _rand_image(rng)
+    for delta in (None, np.ones(4), np.array([1.1, 0.9, 0.8, 1.2])):
+        assert unet_forward(x, 2, delta, w).dtype == np.complex128
+    cache: dict = {}
+    assert unet_forward(x, 2, None, w, cache).dtype == np.complex128
+    assert len(bands) == 2 + 2  # the calibrated walk's and the cached walk's
+    assert set(bands) == {(np.dtype(dtype),) * 2}
+    assert seen == {(np.dtype(dtype),) * 3}
+    assert {a.dtype for a in cache["skips"] + cache["lows"]} == {np.dtype(dtype)}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +492,7 @@ def test_delta_vjp_matches_finite_differences_of_float64_walk(arch, delta):
         v = _rand_image(rng, 64)
 
         def value(d):
-            return np.real(np.vdot(v, -_f64_walk(x, idx, d, w) / sigma))
+            return np.real(np.vdot(v, -unet_forward(x, idx, d, w) / sigma))
 
         fd = np.array([value(delta + h * e) - value(delta - h * e)
                        for e in np.eye(delta.size)]) / (2 * h)
@@ -527,6 +545,24 @@ def test_weight_roundtrip(tmp_path):
     save_weights(path, w)
     back = load_weights(path)
     assert back.arch == w.arch
+    for name, p in w.params.items():
+        assert np.array_equal(back.params[name], p)
+
+
+def test_numpy_typed_arch_roundtrips(tmp_path):
+    """An arch built from NumPy scalars and a widths list saves a sidecar that loads, with
+    the bytes of the same arch in Python types."""
+    arch = UNetArch(widths=[np.int64(3), 4], bottleneck=np.int64(5), emb_steps=np.int64(6),
+                    sigma_min=np.float32(0.01), sigma_max=np.float64(1.5),
+                    band_cutoff=np.float32(0.3))
+    plain = UNetArch(widths=(3, 4), bottleneck=5, emb_steps=6, sigma_min=float(np.float32(0.01)),
+                     sigma_max=1.5, band_cutoff=float(np.float32(0.3)))
+    w = init_weights(arch, seed=4)
+    save_weights(tmp_path / "w.bt", w)
+    save_weights(tmp_path / "plain.bt", UNetWeights(plain, w.params))
+    assert (tmp_path / "w.bt.arch").read_bytes() == (tmp_path / "plain.bt.arch").read_bytes()
+    back = load_weights(tmp_path / "w.bt")
+    assert back.arch == plain
     for name, p in w.params.items():
         assert np.array_equal(back.params[name], p)
 
@@ -734,13 +770,13 @@ def test_memoized_evaluate_matches_fresh_forward():
     w = init_weights(arch, seed=12)
     w.params["emb"] = rng.standard_normal(w.params["emb"].shape)
     sigmas = arch.sigma_ladder()
-    prior = UNetScorePrior(w)
+    prior, w32 = UNetScorePrior(w), _float32(w)
 
     def check(x, sigma, delta):
         used = delta if prior.calibratable else None
         idx = int(np.argmin(np.abs(sigmas - sigma)))
-        eps_hat = unet_forward(x, idx, used, w)
-        _assert_f32_close(eps_hat, _f64_walk(x, idx, used, w))
+        eps_hat = unet_forward(x, idx, used, w32)
+        _assert_f32_close(eps_hat, unet_forward(x, idx, used, w))
         expected = -eps_hat / sigma
         assert np.array_equal(prior.evaluate(x, sigma, delta), expected)
         return expected
